@@ -31,6 +31,9 @@ python scripts/lint_smoke.py
 echo "== pytest (tier-1) =="
 python -m pytest -x -q
 
+echo "== pytest: end-to-end benchmark smoke (perfbench) =="
+python -m pytest perfbench -q
+
 echo "== bench smoke: batch data plane =="
 python benchmarks/bench_sketch_batch.py --smoke
 

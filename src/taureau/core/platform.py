@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import heapq
 import itertools
 import math
 import typing
-import warnings
 
 from taureau.cluster import Cluster, Machine, ResourceVector
 from taureau.core.calibration import DEFAULT_CALIBRATION, Calibration
@@ -46,6 +46,10 @@ from taureau.core.scheduler import FirstFitScheduler, Scheduler
 from taureau.sim import Event, MetricRegistry, Simulation
 
 __all__ = ["PlatformConfig", "Sandbox", "FaasPlatform", "PeriodicTrigger", "ThrottledError"]
+
+#: Stale eviction-index entries tolerated beyond the live count before
+#: the index compacts, so small pools do not compact on every reuse.
+_EVICTABLE_SLACK = 64
 
 
 class ThrottledError(Exception):
@@ -111,6 +115,11 @@ class Sandbox:
         self.prewarmed = False
         #: Set when the hosting machine fails; a dead sandbox never runs.
         self.dead = False
+        #: The attempt executing here (``None`` while idle or starting).
+        self.attempt: typing.Optional["_Attempt"] = None
+        #: Return sequence of the sandbox's live entry in the platform's
+        #: eviction index (``None`` when it has none).
+        self.idle_seq: typing.Optional[int] = None
 
     @property
     def machine_id(self) -> str:
@@ -158,13 +167,121 @@ class PeriodicTrigger:
         self._platform.sim.schedule_after(self._delay(self.interval_s), self._fire)
 
 
+class _PoolBucket(list):
+    """One pool key's idle sandboxes, in the order they were returned."""
+
+    __slots__ = ("ordinal",)
+
+    def __init__(self, ordinal: int):
+        super().__init__()
+        #: The key's first-touch position among the platform's pools: the
+        #: eviction order's tie-break between equally old sandboxes.
+        self.ordinal = ordinal
+
+
+class _IdlePools(dict):
+    """Pool key -> :class:`_PoolBucket`, created on first touch."""
+
+    def __missing__(self, key) -> _PoolBucket:
+        bucket = self[key] = _PoolBucket(len(self))
+        return bucket
+
+
+class _LazyHandles:
+    """Attributes resolved by ``_BIND[name](self)`` on first read.
+
+    Each resolution creates its metric through the registry at the moment
+    the per-call lookup it replaces would have, so ``snapshot()`` keys,
+    their order and their values are unchanged; later reads are plain
+    attribute loads.
+    """
+
+    __slots__ = ()
+    _BIND: typing.Dict[str, typing.Callable] = {}
+
+    def __getattr__(self, name: str):
+        bind = self._BIND.get(name)
+        if bind is None:
+            raise AttributeError(name)
+        handle = bind(self)
+        setattr(self, name, handle)
+        return handle
+
+
+def _lookup(kind: str, *args):
+    return lambda owner: getattr(owner.registry, kind)(*args)
+
+
+class _HotMetrics(_LazyHandles):
+    """The fixed-name metrics a :class:`FaasPlatform` records per invocation."""
+
+    _BIND = {
+        "invocations": _lookup("counter", "invocations"),
+        "cold_starts": _lookup("counter", "cold_starts"),
+        "sandbox_evictions": _lookup("counter", "sandbox_evictions"),
+        "sandbox_expirations": _lookup("counter", "sandbox_expirations"),
+        "billing_gb_s": _lookup("counter", "billing.gb_s"),
+        "billing_cost_usd": _lookup("counter", "billing.cost_usd"),
+        "queue_delay_s": _lookup("distribution", "queue_delay_s"),
+        "cold_start_latency_s": _lookup("distribution", "cold_start_latency_s"),
+        "e2e_latency_s": _lookup("distribution", "e2e_latency_s"),
+        "exec_duration_s": _lookup("distribution", "exec_duration_s"),
+        "running": _lookup("series", "running"),
+        "sandbox_memory_mb": _lookup("series", "sandbox_memory_mb"),
+    }
+
+    def __init__(self, registry: MetricRegistry):
+        self.registry = registry
+
+
+def _child(kind: str, family: str, label_names: tuple, **labels):
+    return lambda fn: getattr(fn.registry, kind)(family, label_names).labels(
+        function=fn.name, **labels)
+
+
+def _line_item(item: str):
+    # Per-function line items feed CostReport.
+    return lambda fn: fn.registry.counter(f"billing.{item}.{fn.name}")
+
+
+class _FunctionState(_LazyHandles):
+    """One function's last arrival time and its per-function metrics."""
+
+    __slots__ = ("registry", "name", "last_arrival", "arrivals", "interarrival",
+                 "cold", "warm", "ok", "e2e_latency", "billed_requests",
+                 "billed_seconds", "billed_gb_s", "billed_cost_usd")
+
+    _BIND = {
+        "arrivals": _child("labeled_counter", "arrivals_by", ("function",)),
+        "interarrival": _child("labeled_histogram", "interarrival_by", ("function",)),
+        "cold": _child("labeled_counter", "starts_by", ("function", "start"),
+                       start="cold"),
+        "warm": _child("labeled_counter", "starts_by", ("function", "start"),
+                       start="warm"),
+        "ok": _child("labeled_counter", "invocations_by", ("function", "outcome"),
+                     outcome="ok"),
+        "e2e_latency": _child("labeled_histogram", "e2e_latency_by", ("function",)),
+        "billed_requests": _line_item("requests"),
+        "billed_seconds": _line_item("seconds"),
+        "billed_gb_s": _line_item("gb_s"),
+        "billed_cost_usd": _line_item("cost_usd"),
+    }
+
+    def __init__(self, registry: MetricRegistry, name: str):
+        self.registry = registry
+        self.name = name
+        self.last_arrival: typing.Optional[float] = None
+
+
 class _Attempt:
     """Book-keeping for one logical invocation across its retries."""
 
-    def __init__(self, spec: FunctionSpec, record: InvocationRecord, done: Event):
+    def __init__(self, spec: FunctionSpec, record: InvocationRecord, done: Event,
+                 fn: _FunctionState):
         self.spec = spec
         self.record = record
         self.done = done
+        self.fn = fn
         self.attempts_left = spec.max_retries
         self.dispatched_once = False
         self.last_dispatch_cold = False
@@ -213,8 +330,17 @@ class FaasPlatform:
         self.config = config or PlatformConfig()
         self.services = dict(services or {})
         self.metrics = MetricRegistry(namespace="faas")
+        self._hot = _HotMetrics(self.metrics)
         self._functions: dict = {}
-        self._idle: dict = collections.defaultdict(list)
+        self._idle: dict = _IdlePools()
+        # The eviction index: a heap of (created_at, bucket ordinal, return
+        # seq, sandbox) over idle non-provisioned sandboxes.  Its minimum is
+        # the first oldest sandbox a scan of _idle in insertion order would
+        # meet.  Entries of sandboxes that left the pool go stale and are
+        # dropped lazily; see _leave_idle for the compaction bound.
+        self._evictable: list = []
+        self._evictable_live = 0
+        self._idle_seqs = itertools.count()
         self._pending: collections.deque = collections.deque()
         self._cpu_load: dict = collections.defaultdict(float)
         self._tenants_on: dict = collections.defaultdict(collections.Counter)
@@ -233,7 +359,7 @@ class FaasPlatform:
         # keep-alive and concurrency overrides, installed by policies.
         self._keep_alive_overrides: dict = {}
         self._concurrency_overrides: dict = {}
-        self._last_arrival: dict = {}
+        self._per_function: dict = {}  # name -> _FunctionState
         self._cold_rng = sim.rng.stream("platform.cold_start")
         # Per-platform id mints keep invocation/sandbox ids replayable
         # across same-seed platforms within one process.
@@ -293,28 +419,7 @@ class FaasPlatform:
     # Invocation API
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _legacy_positional_parent(method: str, args: tuple, parent):
-        """Deprecation shim: ``parent`` used to be the third positional
-        parameter of :meth:`invoke`/:meth:`invoke_sync`."""
-        if len(args) > 1:
-            raise TypeError(
-                f"{method}() takes at most 2 positional arguments besides "
-                f"the platform ({2 + len(args)} given)"
-            )
-        if parent is not None:
-            raise TypeError(
-                f"{method}() got parent both positionally and by keyword"
-            )
-        warnings.warn(
-            f"passing parent positionally to {method}() is deprecated; "
-            f"use the keyword form {method}(name, payload, parent=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return args[0]
-
-    def invoke(self, name: str, payload: object = None, *args, parent=None) -> Event:
+    def invoke(self, name: str, payload: object = None, *, parent=None) -> Event:
         """Asynchronously invoke ``name``.
 
         Returns an event that *always succeeds* with the final
@@ -334,8 +439,6 @@ class FaasPlatform:
         invoker — client-side retries, per-attempt timeouts, hedging and
         circuit breaking — and still resolves with one final record.
         """
-        if args:
-            parent = self._legacy_positional_parent("invoke", args, parent)
         journal_entry = None
         if self._durability is not None:
             journal_entry = self._durability.open_entry(name)
@@ -351,22 +454,23 @@ class FaasPlatform:
                      parent=None, journal_entry=None) -> Event:
         """One platform-level invocation, bypassing client-side resilience."""
         spec = self.spec(name)
-        last_arrival = self._last_arrival.get(name)
-        if last_arrival is not None:
-            self.metrics.labeled_histogram("interarrival_by", ("function",)).observe(
-                self.sim.now - last_arrival, function=name
-            )
-        self._last_arrival[name] = self.sim.now
-        self.metrics.labeled_counter("arrivals_by", ("function",)).add(function=name)
+        now = self.sim.now
+        fn = self._per_function.get(name)
+        if fn is None:
+            fn = self._per_function[name] = _FunctionState(self.metrics, name)
+        if fn.last_arrival is not None:
+            fn.interarrival.observe(now - fn.last_arrival)
+        fn.last_arrival = now
+        fn.arrivals.add()
         record = InvocationRecord(
             invocation_id=f"inv{next(self._invocation_ids)}",
             function_name=name,
             payload=payload,
-            arrival_time=self.sim.now,
+            arrival_time=now,
         )
-        self.metrics.counter("invocations").add()
+        self._hot.invocations.add()
         done = self.sim.event()
-        attempt = _Attempt(spec, record, done)
+        attempt = _Attempt(spec, record, done, fn)
         if journal_entry is not None:
             attempt.journal_entry = journal_entry
             journal_entry.invocation_ids.append(record.invocation_id)
@@ -383,7 +487,7 @@ class FaasPlatform:
         self._dispatch(attempt)
         return done
 
-    def invoke_sync(self, name: str, payload: object = None, *args,
+    def invoke_sync(self, name: str, payload: object = None, *,
                     parent=None) -> InvocationRecord:
         """Invoke and run the simulation until the record is final.
 
@@ -392,8 +496,6 @@ class FaasPlatform:
         paths: ``status``/``response``/``error``, ``cold_start``,
         ``cost_usd``, ``end_to_end_latency_s`` and ``trace_id``.
         """
-        if args:
-            parent = self._legacy_positional_parent("invoke_sync", args, parent)
         return self.sim.run(until=self.invoke(name, payload, parent=parent))
 
     def schedule_periodic(
@@ -652,17 +754,9 @@ class FaasPlatform:
             raise ValueError("machine is not part of this platform's cluster")
         orphaned: list = []
         for sandbox in list(self._sandboxes_on.get(machine.machine_id, ())):
-            attempt = next(
-                (a for a, s in self._executing.items() if s is sandbox), None
-            )
             self._retire_sandbox(sandbox)
+            attempt = self._interrupt(sandbox)
             if attempt is not None:
-                del self._executing[attempt]
-                attempt.execution_epoch += 1  # invalidate the queued finish
-                self._exit_cpu(sandbox, attempt.spec)
-                self._running -= 1
-                self._running_per_function[attempt.spec.name] -= 1
-                self.metrics.series("running").record(self.sim.now, self._running)
                 self.metrics.counter("machine_failure_reexecutions").add()
                 attempt.record.attempts += 1
                 orphaned.append(attempt)
@@ -690,20 +784,12 @@ class FaasPlatform:
         """
         from taureau.chaos.faults import FaultInjected
 
-        attempt = next(
-            (a for a, s in self._executing.items() if s is sandbox), None
-        )
         self._retire_sandbox(sandbox)
         self.metrics.counter("sandbox_crashes").add()
+        attempt = self._interrupt(sandbox)
         if attempt is None:
             self._drain_pending()
             return False
-        del self._executing[attempt]
-        attempt.execution_epoch += 1  # invalidate the queued finish
-        self._exit_cpu(sandbox, attempt.spec)
-        self._running -= 1
-        self._running_per_function[attempt.spec.name] -= 1
-        self.metrics.series("running").record(self.sim.now, self._running)
         error = FaultInjected(
             f"sandbox {sandbox.sandbox_id} crashed mid-execution "
             f"(function {attempt.spec.name})",
@@ -712,6 +798,24 @@ class FaasPlatform:
         self._conclude(attempt, InvocationStatus.ERROR, None, error,
                        self.sim.now - attempt.record.start_time)
         return True
+
+    def _interrupt(self, sandbox: Sandbox) -> typing.Optional[_Attempt]:
+        """Stop the attempt executing in a crashed ``sandbox``, if any.
+
+        Releases its dispatch slot and CPU share and invalidates its
+        queued finish; returns the attempt (``None`` for an idle sandbox).
+        """
+        attempt = sandbox.attempt
+        if attempt is None:
+            return None
+        sandbox.attempt = None
+        del self._executing[attempt]
+        attempt.execution_epoch += 1  # invalidate the queued finish
+        self._exit_cpu(sandbox, attempt.spec)
+        self._running -= 1
+        self._running_per_function[attempt.spec.name] -= 1
+        self._hot.running.record(self.sim.now, self._running)
+        return attempt
 
     # ------------------------------------------------------------------
     # Dispatch pipeline
@@ -741,9 +845,7 @@ class FaasPlatform:
         if not attempt.dispatched_once:
             attempt.dispatched_once = True
             attempt.record.queue_delay_s = self.sim.now - attempt.record.arrival_time
-            self.metrics.distribution("queue_delay_s").observe(
-                attempt.record.queue_delay_s
-            )
+            self._hot.queue_delay_s.observe(attempt.record.queue_delay_s)
             if attempt.span is not None and attempt.record.queue_delay_s > 0:
                 self.sim.tracer.record(
                     "faas.queue",
@@ -753,11 +855,9 @@ class FaasPlatform:
                 )
         self._running += 1
         self._running_per_function[attempt.spec.name] += 1
-        self.metrics.series("running").record(self.sim.now, self._running)
+        self._hot.running.record(self.sim.now, self._running)
         attempt.last_dispatch_cold = cold
-        self.metrics.labeled_counter("starts_by", ("function", "start")).add(
-            function=attempt.spec.name, start="cold" if cold else "warm"
-        )
+        (attempt.fn.cold if cold else attempt.fn.warm).add()
         start_delay = config.calibration.scheduler_overhead_s
         if cold:
             cold_latency = config.calibration.cold_start_latency(
@@ -765,8 +865,8 @@ class FaasPlatform:
             )
             attempt.record.cold_start = True
             attempt.record.cold_start_latency_s = cold_latency
-            self.metrics.counter("cold_starts").add()
-            self.metrics.distribution("cold_start_latency_s").observe(cold_latency)
+            self._hot.cold_starts.add()
+            self._hot.cold_start_latency_s.observe(cold_latency)
             if attempt.span is not None:
                 self.sim.tracer.record(
                     "faas.cold_start",
@@ -830,6 +930,7 @@ class FaasPlatform:
             sandbox = idle[position]  # LIFO keeps the hottest sandbox in use
             if sandbox.spec.memory_mb >= spec.memory_mb:
                 del idle[position]
+                self._leave_idle(sandbox)
                 sandbox.expiry_token = None
                 if sandbox.prewarmed:
                     # First reuse ends the pre-warm standing charge.
@@ -873,30 +974,50 @@ class FaasPlatform:
             )
             if machine is not None:
                 return machine
-            victim = self._oldest_idle_sandbox()
+            victim = self._pop_eviction_victim()
             if victim is None:
                 return None
             self._reclaim(victim)
 
-    def _oldest_idle_sandbox(self):
-        oldest = None
-        for sandboxes in self._idle.values():
-            for sandbox in sandboxes:
-                if sandbox.provisioned:
-                    continue  # provisioned capacity is never evicted
-                if oldest is None or sandbox.created_at < oldest.created_at:
-                    oldest = sandbox
-        return oldest
+    def _pop_eviction_victim(self) -> typing.Optional[Sandbox]:
+        """The oldest idle non-provisioned sandbox, off the eviction index.
+
+        Ties on ``created_at`` go to the pool touched first, then to the
+        sandbox returned first; provisioned capacity is never evicted.
+        """
+        heap = self._evictable
+        while heap:
+            __, __, seq, sandbox = heapq.heappop(heap)
+            if sandbox.idle_seq == seq:
+                return sandbox
+        return None
+
+    def _leave_idle(self, sandbox: Sandbox) -> None:
+        """Turn ``sandbox``'s eviction-index entry stale, if it has one.
+
+        Compacting once stale entries outnumber live ones (past a small
+        slack) keeps the index at most twice the idle pool plus a
+        constant, on workloads that never evict as well.
+        """
+        if sandbox.idle_seq is None:
+            return
+        sandbox.idle_seq = None
+        self._evictable_live -= 1
+        heap = self._evictable
+        if len(heap) > 2 * self._evictable_live + _EVICTABLE_SLACK:
+            heap[:] = [entry for entry in heap if entry[3].idle_seq == entry[2]]
+            heapq.heapify(heap)
 
     def _reclaim(self, sandbox: Sandbox) -> None:
         self._retire_sandbox(sandbox)
-        self.metrics.counter("sandbox_evictions").add()
+        self._hot.sandbox_evictions.add()
 
     def _retire_sandbox(self, sandbox: Sandbox) -> None:
         """Full cleanup for one sandbox, wherever it currently lives."""
         bucket = self._idle[self._pool_key(sandbox.spec)]
         if sandbox in bucket:
             bucket.remove(sandbox)
+        self._leave_idle(sandbox)
         if sandbox.machine is not None and sandbox.allocation is not None:
             self._account_sandbox_memory(-sandbox.spec.memory_mb)
             self._tenants_on[sandbox.machine.machine_id][sandbox.spec.tenant] -= 1
@@ -924,21 +1045,25 @@ class FaasPlatform:
             return
         token = object()
         sandbox.expiry_token = token
-        self._idle[self._pool_key(sandbox.spec)].append(sandbox)
+        bucket = self._idle[self._pool_key(sandbox.spec)]
+        bucket.append(sandbox)
+        sandbox.idle_seq = seq = next(self._idle_seqs)
+        heapq.heappush(
+            self._evictable, (sandbox.created_at, bucket.ordinal, seq, sandbox)
+        )
+        self._evictable_live += 1
         self.sim.schedule_after(keep_alive, self._expire, sandbox, token)
 
     def _expire(self, sandbox: Sandbox, token: object) -> None:
         if sandbox.expiry_token is not token:
             return  # reused (or already reclaimed) in the meantime
         self._reclaim(sandbox)
-        self.metrics.counter("sandbox_expirations").add()
+        self._hot.sandbox_expirations.add()
         self._drain_pending()
 
     def _account_sandbox_memory(self, delta_mb: float) -> None:
         self._sandbox_memory_mb += delta_mb
-        self.metrics.series("sandbox_memory_mb").record(
-            self.sim.now, self._sandbox_memory_mb
-        )
+        self._hot.sandbox_memory_mb.record(self.sim.now, self._sandbox_memory_mb)
 
     # ------------------------------------------------------------------
     # Execution
@@ -952,7 +1077,7 @@ class FaasPlatform:
             # the dispatch slot and transparently re-dispatch (§4.1).
             self._running -= 1
             self._running_per_function[spec.name] -= 1
-            self.metrics.series("running").record(self.sim.now, self._running)
+            self._hot.running.record(self.sim.now, self._running)
             self.metrics.counter("machine_failure_reexecutions").add()
             record.attempts += 1
             self._dispatch(attempt)
@@ -962,6 +1087,7 @@ class FaasPlatform:
         sandbox.executions += 1
         attempt.execution_epoch += 1
         self._executing[attempt] = sandbox
+        sandbox.attempt = attempt
 
         # Race-sanitizer boundary checks (Simulation(sanitize=True)): the
         # payload is entering a sandbox, so any drift since it last crossed
@@ -1070,12 +1196,12 @@ class FaasPlatform:
         spec = attempt.spec
         record = attempt.record
         self._executing.pop(attempt, None)
+        sandbox.attempt = None
         self._exit_cpu(sandbox, spec)
         self._running -= 1
         self._running_per_function[spec.name] -= 1
-        self.metrics.series("running").record(self.sim.now, self._running)
-        self._bill(record, spec, exec_duration, span=attempt.span,
-                   journal_entry=attempt.journal_entry)
+        self._hot.running.record(self.sim.now, self._running)
+        self._bill(attempt, exec_duration)
         self._return_to_pool(sandbox)
         self._conclude(attempt, status, response, error, exec_duration)
 
@@ -1124,14 +1250,16 @@ class FaasPlatform:
         record.response = response
         record.error = error
         record.end_time = self.sim.now
-        self.metrics.distribution("e2e_latency_s").observe(record.end_to_end_latency_s)
-        self.metrics.distribution("exec_duration_s").observe(exec_duration)
-        self.metrics.labeled_counter(
-            "invocations_by", ("function", "outcome")
-        ).add(function=spec.name, outcome=status.value)
-        self.metrics.labeled_histogram(
-            "e2e_latency_by", ("function",)
-        ).observe(record.end_to_end_latency_s, function=spec.name)
+        latency = record.end_to_end_latency_s
+        self._hot.e2e_latency_s.observe(latency)
+        self._hot.exec_duration_s.observe(exec_duration)
+        if status is InvocationStatus.OK:
+            attempt.fn.ok.add()
+        else:
+            self.metrics.labeled_counter(
+                "invocations_by", ("function", "outcome")
+            ).add(function=spec.name, outcome=status.value)
+        attempt.fn.e2e_latency.observe(latency)
         if status is InvocationStatus.TIMEOUT:
             self.metrics.counter("timeouts").add()
         elif status is InvocationStatus.ERROR:
@@ -1154,8 +1282,9 @@ class FaasPlatform:
     # Billing (paper §2: cost efficiency via fine-grained billing)
     # ------------------------------------------------------------------
 
-    def _bill(self, record: InvocationRecord, spec: FunctionSpec, duration: float,
-              span=None, journal_entry=None):
+    def _bill(self, attempt: _Attempt, duration: float) -> None:
+        record, spec = attempt.record, attempt.spec
+        journal_entry, span = attempt.journal_entry, attempt.span
         calibration = self.config.calibration
         granularity = calibration.billing_granularity_s
         slices = math.ceil(max(duration, 1e-12) / granularity)
@@ -1191,13 +1320,13 @@ class FaasPlatform:
                 billed_duration_s=billed,
                 attempt=record.attempts,
             )
-        self.metrics.counter("billing.gb_s").add(gb_s)
-        self.metrics.counter("billing.cost_usd").add(cost)
-        # Per-function line items feed CostReport.
-        self.metrics.counter(f"billing.requests.{spec.name}").add()
-        self.metrics.counter(f"billing.seconds.{spec.name}").add(billed)
-        self.metrics.counter(f"billing.gb_s.{spec.name}").add(gb_s)
-        self.metrics.counter(f"billing.cost_usd.{spec.name}").add(cost)
+        self._hot.billing_gb_s.add(gb_s)
+        self._hot.billing_cost_usd.add(cost)
+        fn = attempt.fn
+        fn.billed_requests.add()
+        fn.billed_seconds.add(billed)
+        fn.billed_gb_s.add(gb_s)
+        fn.billed_cost_usd.add(cost)
 
     def total_cost_usd(self) -> float:
         """Cumulative user-facing bill across all invocations so far."""

@@ -170,24 +170,16 @@ class Platform:
     def wire_service(self, name: str, client) -> None:
         self.faas.wire_service(name, client)
 
-    def invoke(self, name: str, payload: object = None, *args,
+    def invoke(self, name: str, payload: object = None, *,
                parent=None) -> Event:
-        if args:
-            parent = FaasPlatform._legacy_positional_parent(
-                "invoke", args, parent
-            )
         self._poke_loops()
         return self.faas.invoke(name, payload, parent=parent)
 
-    def invoke_sync(self, name: str, payload: object = None, *args,
+    def invoke_sync(self, name: str, payload: object = None, *,
                     parent=None) -> InvocationRecord:
         """Invoke and drain; returns the final
         :class:`~taureau.core.function.InvocationRecord` (same shape as
         the :meth:`invoke` event's result)."""
-        if args:
-            parent = FaasPlatform._legacy_positional_parent(
-                "invoke_sync", args, parent
-            )
         self._poke_loops()
         return self.faas.invoke_sync(name, payload, parent=parent)
 

@@ -467,18 +467,27 @@ class _LabeledFamily:
     def __init__(self, name: str, label_names: typing.Sequence[str], **child_kwargs):
         if not label_names:
             raise ValueError(f"labeled metric {name!r} needs at least one label")
+        if len(set(label_names)) != len(label_names):
+            raise ValueError(
+                f"labeled metric {name!r} repeats a label in {list(label_names)}"
+            )
         self.name = name
         self.label_names = tuple(label_names)
         self._children: typing.Dict[tuple, object] = {}
         self._child_kwargs = child_kwargs
 
     def _key(self, labels: dict) -> tuple:
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"metric {self.name!r} expects labels {list(self.label_names)}, "
-                f"got {sorted(labels)}"
-            )
-        return tuple(str(labels[name]) for name in self.label_names)
+        # Label names are distinct, so equal counts plus every name present
+        # means the label sets are equal.
+        if len(labels) == len(self.label_names):
+            try:
+                return tuple([str(labels[name]) for name in self.label_names])
+            except KeyError:
+                pass
+        raise ValueError(
+            f"metric {self.name!r} expects labels {list(self.label_names)}, "
+            f"got {sorted(labels)}"
+        )
 
     def labels(self, **labels):
         """The child metric for one label-value combination."""

@@ -202,24 +202,27 @@ class TestCallSignatureHygiene:
 
         return app
 
-    def test_parent_is_keyword_only_with_deprecation_shim(self):
+    def test_parent_is_keyword_only(self):
         app = self.build()
         parent = app.invoke_sync("echo", "a")
         span = app.trace(parent.trace_id).root
-        with pytest.warns(DeprecationWarning, match="parent"):
-            record = app.invoke_sync("echo", "b", span)
-        assert record.succeeded
+        with pytest.raises(TypeError):
+            app.invoke_sync("echo", "b", span)
+        with pytest.raises(TypeError):
+            app.faas.invoke_sync("echo", "b", span)
         keyword = app.invoke_sync("echo", "c", parent=span)
         assert keyword.succeeded
-        with pytest.raises(TypeError):
-            app.invoke_sync("echo", "d", span, span)
+        assert keyword.trace_id == parent.trace_id
 
-    def test_invoke_shim_matches_invoke_sync(self):
+    def test_invoke_rejects_positional_parent_like_invoke_sync(self):
         app = self.build()
         parent = app.invoke_sync("echo", "a")
         span = app.trace(parent.trace_id).root
-        with pytest.warns(DeprecationWarning, match="parent"):
-            event = app.invoke("echo", "b", span)
+        with pytest.raises(TypeError):
+            app.invoke("echo", "b", span)
+        with pytest.raises(TypeError):
+            app.faas.invoke("echo", "b", span)
+        event = app.invoke("echo", "c", parent=span)
         app.run()
         assert event.value.succeeded
 

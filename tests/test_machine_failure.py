@@ -104,6 +104,40 @@ class TestMachineFailure:
         assert platform._cpu_load[survivor.machine_id] == pytest.approx(0.0)
         assert len(cluster) == 1
 
+    def test_redispatch_follows_sandbox_placement_order(self):
+        sim, cluster, platform = make_stack(machines=2)
+        platform.register(FunctionSpec(name="job", handler=work, memory_mb=512))
+        for i in range(3):
+            platform.invoke("job", i)
+        sim.run(until=6.0)  # three sandboxes, all idle again
+        for i in range(3, 6):
+            platform.invoke("job", i)  # LIFO reuse: newest-returned first
+        sim.run(until=7.0)
+        victim = max(
+            cluster.machines,
+            key=lambda machine: len(platform._sandboxes_on[machine.machine_id]),
+        )
+        executing_on = {sandbox: attempt
+                        for attempt, sandbox in platform._executing.items()}
+        expected = [
+            executing_on[sandbox]
+            for sandbox in platform._sandboxes_on[victim.machine_id]
+            if sandbox in executing_on
+        ]
+        # Placement order differs from start order, so the pin bites.
+        assert len(expected) == 3
+        assert expected != list(platform._executing)
+        redispatched = []
+        dispatch = platform._dispatch
+
+        def recording_dispatch(attempt):
+            redispatched.append(attempt)
+            dispatch(attempt)
+
+        platform._dispatch = recording_dispatch
+        assert platform.fail_machine(victim) == 3
+        assert redispatched == expected
+
     def test_failing_unknown_machine_rejected(self):
         sim, cluster, platform = make_stack()
         foreign_sim = Simulation(seed=1)
