@@ -36,8 +36,8 @@ class ControlLoop:
         self.ticks = 0
         self._scheduled = False
         # Cumulative counter snapshots for per-tick deltas, keyed by the
-        # child metric's canonical name.
-        self._prev: typing.Dict[str, float] = {}
+        # child metric itself (a family never replaces a child).
+        self._prev: typing.Dict[object, float] = {}
         # Alerts delivered by Monitor.on_alert since the last tick.
         self._alert_buffer: list = []
         # ``monitor`` may be the monitor itself or a zero-arg callable
@@ -91,9 +91,10 @@ class ControlLoop:
         self.actuator._policy = "-"
         self.ticks += 1
 
-    def _delta(self, key: str, value: float) -> float:
-        previous = self._prev.get(key, 0.0)
-        self._prev[key] = value
+    def _delta(self, child) -> float:
+        value = child.value
+        previous = self._prev.get(child, 0.0)
+        self._prev[child] = value
         return value - previous
 
     def build_view(self) -> SignalView:
@@ -105,14 +106,14 @@ class ControlLoop:
         arrivals: dict = {}
         family = metrics.labeled_counter("arrivals_by", ("function",))
         for (function,), child in family.items():
-            arrivals[function] = self._delta(child.name, child.value)
+            arrivals[function] = self._delta(child)
 
         cold: dict = {}
         warm: dict = {}
         starts = metrics.labeled_counter("starts_by", ("function", "start"))
         for (function, kind), child in starts.items():
             bucket = cold if kind == "cold" else warm
-            bucket[function] = self._delta(child.name, child.value)
+            bucket[function] = self._delta(child)
 
         interarrival: dict = {}
         family = metrics.labeled_histogram("interarrival_by", ("function",))

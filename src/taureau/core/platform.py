@@ -170,13 +170,16 @@ class PeriodicTrigger:
 class _PoolBucket(list):
     """One pool key's idle sandboxes, in the order they were returned."""
 
-    __slots__ = ("ordinal",)
+    __slots__ = ("ordinal", "provisioned")
 
     def __init__(self, ordinal: int):
         super().__init__()
         #: The key's first-touch position among the platform's pools: the
         #: eviction order's tie-break between equally old sandboxes.
         self.ordinal = ordinal
+        #: The key's provisioned sandboxes that are idle here or executing;
+        #: one between leaving the pool and starting is neither.
+        self.provisioned = 0
 
 
 class _IdlePools(dict):
@@ -342,6 +345,7 @@ class FaasPlatform:
         self._evictable_live = 0
         self._idle_seqs = itertools.count()
         self._pending: collections.deque = collections.deque()
+        self._pending_per_function: dict = collections.defaultdict(int)
         self._cpu_load: dict = collections.defaultdict(float)
         self._tenants_on: dict = collections.defaultdict(collections.Counter)
         # machine_id -> {sandbox: None}: a dict used as an *insertion-ordered*
@@ -550,53 +554,56 @@ class FaasPlatform:
         if count < 0:
             raise ValueError("count must be nonnegative")
         pool_key = self._pool_key(spec)
-        idle_provisioned = [
-            sandbox for sandbox in self._idle[pool_key] if sandbox.provisioned
-        ]
-        busy_provisioned = [
-            sandbox
-            for sandbox in self._executing.values()
-            if sandbox.provisioned and self._pool_key(sandbox.spec) == pool_key
-        ]
-        existing = len(idle_provisioned) + len(busy_provisioned)
+        bucket = self._idle[pool_key]
+        existing = bucket.provisioned
         if count < existing:
+            idle_provisioned = [
+                sandbox for sandbox in bucket if sandbox.provisioned
+            ]
+            busy_provisioned = [
+                sandbox
+                for sandbox in self._executing.values()
+                if sandbox.provisioned and self._pool_key(sandbox.spec) == pool_key
+            ]
             excess = existing - count
             for sandbox in list(reversed(idle_provisioned))[:excess]:
                 self._retire_sandbox(sandbox)  # records the series drop
                 excess -= 1
             for sandbox in busy_provisioned[:excess]:
                 sandbox.provisioned = False
+                bucket.provisioned -= 1
                 self._provisioned_memory_mb -= sandbox.spec.memory_mb
             if excess:
                 self.metrics.series("provisioned_memory_mb").record(
                     self.sim.now, self._provisioned_memory_mb
                 )
             return
+        created = 0
         for __ in range(count - existing):
             # Always create fresh sandboxes: reusing warm ones would just
             # shuffle the pool instead of adding standing capacity.
             sandbox = self._create_sandbox(spec)
             if sandbox is None:
-                raise RuntimeError(
-                    f"no capacity to provision {count} sandboxes for {name!r}"
-                )
+                break
             sandbox.provisioned = True
-            self._idle[pool_key].append(sandbox)
-        self._provisioned_memory_mb += (count - existing) * spec.memory_mb
+            bucket.append(sandbox)
+            created += 1
+        # Sandboxes created before capacity ran out stay provisioned, so
+        # they are accounted for before the error below.
+        bucket.provisioned += created
+        self._provisioned_memory_mb += created * spec.memory_mb
         self.metrics.series("provisioned_memory_mb").record(
             self.sim.now, self._provisioned_memory_mb
         )
+        if existing + created < count:
+            raise RuntimeError(
+                f"no capacity to provision {count} sandboxes for {name!r}; "
+                f"{existing + created} provisioned"
+            )
 
     def provisioned_count(self, name: str) -> int:
         """Provisioned sandboxes (idle or executing) for ``name``'s pool."""
-        pool_key = self._pool_key(self.spec(name))
-        idle = sum(1 for s in self._idle[pool_key] if s.provisioned)
-        busy = sum(
-            1
-            for s in self._executing.values()
-            if s.provisioned and self._pool_key(s.spec) == pool_key
-        )
-        return idle + busy
+        return self._idle[self._pool_key(self.spec(name))].provisioned
 
     def provisioned_cost_usd(
         self, start: float = 0.0, end: typing.Optional[float] = None
@@ -710,7 +717,7 @@ class FaasPlatform:
         """Parked (queued-on-throttle) attempts, optionally per function."""
         if name is None:
             return len(self._pending)
-        return sum(1 for a in self._pending if a.spec.name == name)
+        return self._pending_per_function.get(name, 0)
 
     def running_for(self, name: str) -> int:
         """Currently executing invocations of one function."""
@@ -810,6 +817,8 @@ class FaasPlatform:
             return None
         sandbox.attempt = None
         del self._executing[attempt]
+        if sandbox.provisioned:
+            self._idle[self._pool_key(sandbox.spec)].provisioned -= 1
         attempt.execution_epoch += 1  # invalidate the queued finish
         self._exit_cpu(sandbox, attempt.spec)
         self._running -= 1
@@ -883,6 +892,7 @@ class FaasPlatform:
     def _park_or_throttle(self, attempt: _Attempt) -> None:
         if self.config.queue_on_throttle:
             self._pending.append(attempt)
+            self._pending_per_function[attempt.spec.name] += 1
             self.metrics.series("pending").record(self.sim.now, len(self._pending))
         else:
             record = attempt.record
@@ -917,7 +927,9 @@ class FaasPlatform:
                 and self._running >= self.config.concurrency_limit
             ):
                 break
-            self._dispatch(self._pending.popleft())
+            attempt = self._pending.popleft()
+            self._pending_per_function[attempt.spec.name] -= 1
+            self._dispatch(attempt)
 
     # ------------------------------------------------------------------
     # Sandbox lifecycle
@@ -930,6 +942,8 @@ class FaasPlatform:
             sandbox = idle[position]  # LIFO keeps the hottest sandbox in use
             if sandbox.spec.memory_mb >= spec.memory_mb:
                 del idle[position]
+                if sandbox.provisioned:
+                    idle.provisioned -= 1  # back when it starts executing
                 self._leave_idle(sandbox)
                 sandbox.expiry_token = None
                 if sandbox.prewarmed:
@@ -1017,6 +1031,8 @@ class FaasPlatform:
         bucket = self._idle[self._pool_key(sandbox.spec)]
         if sandbox in bucket:
             bucket.remove(sandbox)
+            if sandbox.provisioned:
+                bucket.provisioned -= 1
         self._leave_idle(sandbox)
         if sandbox.machine is not None and sandbox.allocation is not None:
             self._account_sandbox_memory(-sandbox.spec.memory_mb)
@@ -1088,6 +1104,8 @@ class FaasPlatform:
         attempt.execution_epoch += 1
         self._executing[attempt] = sandbox
         sandbox.attempt = attempt
+        if sandbox.provisioned:
+            self._idle[self._pool_key(sandbox.spec)].provisioned += 1
 
         # Race-sanitizer boundary checks (Simulation(sanitize=True)): the
         # payload is entering a sandbox, so any drift since it last crossed

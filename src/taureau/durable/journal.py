@@ -94,12 +94,15 @@ class JournalEntry:
     __slots__ = (
         "entry_id", "function_name", "effects", "cursor", "attempts",
         "recoveries", "billed_slices", "completed", "final_status",
-        "last_error_kind", "invocation_ids",
+        "last_error_kind", "invocation_ids", "journal",
     )
 
-    def __init__(self, entry_id: str, function_name: str):
+    def __init__(self, entry_id: str, function_name: str,
+                 journal: "InvocationJournal"):
         self.entry_id = entry_id
         self.function_name = function_name
+        #: The journal whose open count this entry's disposition feeds.
+        self.journal = journal
         self.effects: typing.List[EffectRecord] = []
         #: Replay position of the attempt currently executing.
         self.cursor = 0
@@ -128,7 +131,9 @@ class JournalEntry:
         """
         self.cursor = 0
         self.attempts += 1
-        self.completed = False
+        if self.completed:
+            self.completed = False
+            self.journal._open += 1
         self.final_status = None
         self.last_error_kind = None
 
@@ -163,7 +168,9 @@ class JournalEntry:
 
     def finalize(self, status: str, error_kind: typing.Optional[str] = None):
         """Mark the entry terminal (any disposition counts, not just OK)."""
-        self.completed = True
+        if not self.completed:
+            self.completed = True
+            self.journal._open -= 1
         self.final_status = status
         self.last_error_kind = error_kind
 
@@ -198,14 +205,17 @@ class InvocationJournal:
     def __init__(self):
         self.entries: typing.Dict[str, JournalEntry] = {}
         self._ids = itertools.count()
+        #: Entries not yet completed, kept by the entries themselves.
+        self._open = 0
         #: Scope-keyed orchestration checkpoints: completed DAG nodes
         #: and state-machine steps, ``{scope: {step: result}}``.
         self.checkpoints: typing.Dict[str, typing.Dict[str, typing.Any]] = {}
 
     def open(self, function_name: str) -> JournalEntry:
         """Mint a fresh entry for one logical platform invocation."""
-        entry = JournalEntry(f"je{next(self._ids)}", function_name)
+        entry = JournalEntry(f"je{next(self._ids)}", function_name, self)
         self.entries[entry.entry_id] = entry
+        self._open += 1
         return entry
 
     def open_keyed(self, key: str, function_name: str) -> JournalEntry:
@@ -216,15 +226,14 @@ class InvocationJournal:
         """
         entry = self.entries.get(key)
         if entry is None:
-            entry = JournalEntry(key, function_name)
+            entry = JournalEntry(key, function_name, self)
             self.entries[key] = entry
+            self._open += 1
         return entry
 
     def open_count(self) -> int:
         """Entries that have not reached a terminal disposition."""
-        return sum(
-            1 for entry in self.entries.values() if not entry.completed
-        )
+        return self._open
 
     def duplicate_executions(self) -> int:
         """Total effect applications beyond the first, across all entries."""

@@ -184,8 +184,9 @@ class RunRecorder:
         self._times: typing.List[float] = []
         #: Columnar series, each list padded to len(_times).
         self._series: typing.Dict[str, typing.List[float]] = {}
-        #: Cumulative counter snapshots for per-tick deltas.
-        self._prev: typing.Dict[str, float] = {}
+        #: Cumulative counter snapshots for per-tick deltas, keyed by the
+        #: labeled child metric itself or by the lane name.
+        self._prev: typing.Dict[object, float] = {}
         #: Last seen breaker state per function (transition detection).
         self._breaker_prev: typing.Dict[str, str] = {}
         #: Synthesized breaker transition events.
@@ -222,7 +223,7 @@ class RunRecorder:
             self._series[lane] = series
         series.append(float(value))
 
-    def _delta(self, key: str, value: float) -> float:
+    def _delta(self, key, value: float) -> float:
         previous = self._prev.get(key, 0.0)
         self._prev[key] = value
         return value - previous
@@ -263,7 +264,7 @@ class RunRecorder:
         start_delta = 0.0
         if starts is not None:
             for (function, kind), child in starts.items():
-                delta = self._delta(child.name, child.value)
+                delta = self._delta(child, child.value)
                 start_delta += delta
                 if kind == "cold":
                     cold_delta += delta

@@ -21,6 +21,7 @@ No raw samples are retained anywhere.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing
 
@@ -203,13 +204,11 @@ class _Window:
 
     def at_or_before(self, time: float):
         """The latest sample at or before ``time`` (step semantics)."""
-        best = None
-        for when, value in zip(self._times, self._values):
-            if when <= time:
-                best = (when, value)
-            else:
-                break
-        return best
+        # Samples are pushed at the monitor's nondecreasing clock.
+        index = bisect.bisect_right(self._times, time) - 1
+        if index < 0:
+            return None
+        return self._times[index], self._values[index]
 
 
 class _AlertState:

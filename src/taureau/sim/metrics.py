@@ -180,7 +180,8 @@ class Histogram:
     and two histograms with the same ``growth`` merge exactly bucket by
     bucket.  ``count``/``total``/``mean``/``minimum``/``maximum``/
     ``stddev`` are tracked exactly on the side; ``percentile`` answers
-    in O(buckets) with relative error bounded by ``growth - 1``.
+    in O(buckets) with relative error bounded by ``growth - 1``, and a
+    repeated query against an unchanged histogram answers in O(1).
     """
 
     DEFAULT_GROWTH = 1.05  # <= 5% relative error on quantiles
@@ -196,6 +197,7 @@ class Histogram:
         "_sumsq",
         "_min",
         "_max",
+        "_memo",
     )
 
     def __init__(self, name: str = "", growth: float = DEFAULT_GROWTH):
@@ -211,6 +213,10 @@ class Histogram:
         self._sumsq = 0.0
         self._min = math.inf
         self._max = -math.inf
+        #: The last ``percentile`` answer as ``(q, count, value)``.  Every
+        #: ``observe`` and every non-empty ``merge`` changes ``_count``, so
+        #: an equal count means the same buckets and the same answer.
+        self._memo: typing.Optional[tuple] = None
 
     # -- recording ---------------------------------------------------------
 
@@ -367,6 +373,14 @@ class Histogram:
             raise ValueError(f"histogram {self.name!r} has no samples")
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile {q} outside [0, 100]")
+        memo = self._memo
+        if memo is not None and memo[0] == q and memo[1] == self._count:
+            return memo[2]
+        value = self._percentile(q)
+        self._memo = (q, self._count, value)
+        return value
+
+    def _percentile(self, q: float) -> float:
         if q == 0.0:
             return self._min
         if q == 100.0:
@@ -475,6 +489,8 @@ class _LabeledFamily:
         self.label_names = tuple(label_names)
         self._children: typing.Dict[tuple, object] = {}
         self._child_kwargs = child_kwargs
+        #: ``sorted(_children.items())``, dropped when a child is created.
+        self._sorted: typing.Optional[list] = None
 
     def _key(self, labels: dict) -> tuple:
         # Label names are distinct, so equal counts plus every name present
@@ -496,6 +512,7 @@ class _LabeledFamily:
         if child is None:
             child = self.child_type(self.child_name(key), **self._child_kwargs)
             self._children[key] = child
+            self._sorted = None
         return child
 
     def child_name(self, key: tuple) -> str:
@@ -506,7 +523,9 @@ class _LabeledFamily:
 
     def items(self) -> list:
         """``(label_values_tuple, child)`` pairs, sorted for determinism."""
-        return sorted(self._children.items())
+        if self._sorted is None:
+            self._sorted = sorted(self._children.items())
+        return list(self._sorted)
 
     def __len__(self) -> int:
         return len(self._children)

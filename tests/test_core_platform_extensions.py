@@ -94,6 +94,26 @@ class TestProvisionedConcurrency:
             expected, rel=1e-6
         )
 
+    def test_capacity_failure_accounts_the_sandboxes_it_created(self):
+        sim = Simulation(seed=0)
+        cluster = Cluster.homogeneous(1, cpu_cores=64, memory_mb=1024)
+        platform = FaasPlatform(sim, cluster=cluster)
+        platform.register(FunctionSpec(name="f", handler=work, memory_mb=256))
+        with pytest.raises(RuntimeError, match="; 4 provisioned"):
+            platform.set_provisioned_concurrency("f", 10)
+        assert platform.provisioned_count("f") == 4
+        assert platform._provisioned_memory_mb == 4 * 256.0
+        sim.run(until=100.0)
+        calibration = platform.config.calibration
+        expected = 4 * 0.25 * 100.0 * calibration.price_per_provisioned_gb_s
+        assert platform.provisioned_cost_usd() == pytest.approx(expected)
+        platform.set_provisioned_concurrency("f", 0)
+        assert platform.provisioned_count("f") == 0
+        assert platform._provisioned_memory_mb == 0.0
+        sim.run(until=200.0)
+        assert platform.provisioned_cost_usd() == pytest.approx(expected)
+        assert platform.provisioned_cost_usd() >= 0.0
+
     def test_unknown_function_rejected(self):
         platform = FaasPlatform(Simulation(seed=0))
         with pytest.raises(KeyError):

@@ -9,6 +9,7 @@ silent misparse.
 """
 
 import json
+import random
 
 import pytest
 
@@ -80,6 +81,33 @@ class TestJournalEntry:
         assert journal.open_count() == 2
         first.finalize("ok")
         assert journal.open_count() == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_open_count_equals_a_recount(self, seed):
+        # The live count against a walk over every entry, through
+        # re-opened and re-finalized entries and redelivered keys.
+        rng = random.Random(seed)
+        journal = InvocationJournal()
+        entries = []
+        for __ in range(300):
+            op = rng.random()
+            if op < 0.2 or not entries:
+                entries.append(journal.open(rng.choice(("a", "b"))))
+            elif op < 0.35:
+                key = f"pulsar:fn:{rng.randint(0, 12)}"
+                entry = journal.open_keyed(key, "fn")
+                assert journal.open_keyed(key, "fn") is entry
+                entries.append(entry)
+            elif op < 0.65:
+                rng.choice(entries).begin_attempt()
+            else:
+                rng.choice(entries).finalize(
+                    rng.choice(("ok", "error")),
+                    rng.choice((None, "sandbox_crash")),
+                )
+            assert journal.open_count() == sum(
+                1 for entry in journal.entries.values() if not entry.completed
+            )
 
 
 class TestJournalPersistence:

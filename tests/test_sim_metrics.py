@@ -1,8 +1,11 @@
 """Unit tests for metric recorders."""
 
+import random
+
 import pytest
 
 from taureau.sim import Counter, Distribution, MetricRegistry, TimeSeries
+from taureau.sim.metrics import Histogram, LabeledCounter
 
 
 class TestCounter:
@@ -196,3 +199,90 @@ class TestMetricRegistry:
         # The canonical name collides even via the qualified alias.
         with pytest.raises(ValueError):
             registry.distribution("faas.x")
+
+
+class TestLabeledFamilyOrder:
+    """``items()`` keeps its sorted list until a child is created."""
+
+    def test_items_stay_sorted_when_children_arrive_out_of_order(self):
+        family = LabeledCounter("calls", ("function",))
+        rng = random.Random(3)
+        names = [f"f{index}" for index in range(40)]
+        rng.shuffle(names)
+        for count, name in enumerate(names, 1):
+            family.add(1.0, function=name)
+            if count % 7 == 0 or count == len(names):
+                items = family.items()
+                assert items == sorted(family._children.items())
+                assert len(items) == count
+
+    def test_existing_children_keep_the_cached_order(self):
+        family = LabeledCounter("calls", ("function", "outcome"))
+        family.add(1.0, function="b", outcome="ok")
+        family.add(1.0, function="a", outcome="error")
+        first = family.items()
+        family.add(5.0, function="b", outcome="ok")  # no new child
+        assert family.items() == first
+        assert family.labels(function="b", outcome="ok").value == 6.0
+
+    def test_mutating_a_returned_list_does_not_change_the_next(self):
+        family = LabeledCounter("calls", ("function",))
+        for name in ("c", "a", "b"):
+            family.add(1.0, function=name)
+        items = family.items()
+        items.reverse()
+        items.append(("zzz", Counter("zzz")))
+        assert [key for key, __ in family.items()] == [("a",), ("b",), ("c",)]
+
+
+def fresh_percentile(samples, q):
+    fresh = Histogram("fresh")
+    fresh.extend(samples)
+    return fresh.percentile(q)
+
+
+class TestHistogramPercentileMemo:
+    """A repeated percentile query is memoised on ``(q, count)``."""
+
+    def test_observe_invalidates(self):
+        rng = random.Random(5)
+        hist = Histogram("h")
+        samples = []
+        for __ in range(200):
+            value = rng.expovariate(2.0)
+            hist.observe(value)
+            samples.append(value)
+            for q in (50.0, 99.0):
+                assert hist.percentile(q) == fresh_percentile(samples, q)
+                assert hist.percentile(q) == fresh_percentile(samples, q)
+
+    def test_merge_invalidates(self):
+        rng = random.Random(6)
+        left = [rng.uniform(0.0, 1.0) for __ in range(50)]
+        right = [rng.uniform(5.0, 10.0) for __ in range(50)]
+        hist = Histogram("h")
+        hist.extend(left)
+        assert hist.percentile(90.0) == fresh_percentile(left, 90.0)
+        other = Histogram("o")
+        other.extend(right)
+        hist.merge(other)
+        assert hist.percentile(90.0) == fresh_percentile(left + right, 90.0)
+
+    def test_a_different_quantile_is_recomputed(self):
+        samples = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+        hist = Histogram("h")
+        hist.extend(samples)
+        for q in (95.0, 10.0, 95.0, 0.0, 100.0, 50.0):
+            assert hist.percentile(q) == fresh_percentile(samples, q)
+
+    def test_a_raising_call_stores_no_memo(self):
+        hist = Histogram("h")
+        with pytest.raises(ValueError, match="no samples"):
+            hist.percentile(50.0)
+        assert hist._memo is None
+        hist.observe(3.0)
+        assert hist.percentile(50.0) == 3.0
+        memo = hist._memo
+        with pytest.raises(ValueError, match="outside"):
+            hist.percentile(101.0)
+        assert hist._memo == memo
