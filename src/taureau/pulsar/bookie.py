@@ -77,6 +77,9 @@ class Bookie:
         self.admission_interval_s = 1.0 / max_throughput_eps
         self.alive = True
         self.metrics = MetricRegistry(namespace="pulsar.bookie")
+        # Bound on the first live append and the first finite wait.
+        self._appends = None
+        self._admission_wait_s = None
         self._next_free = 0.0
         self._entries: set = set()  # (ledger_id, entry_id)
 
@@ -87,13 +90,17 @@ class Bookie:
         start = max(self.sim.now, self._next_free)
         self._next_free = start + self.admission_interval_s
         self._entries.add((ledger_id, entry_id))
-        self.metrics.counter("appends").add()
+        if self._appends is None:
+            self._appends = self.metrics.counter("appends")
+        self._appends.add()
         # Admission wait: how long the entry queued behind the bookie's
         # throughput cap before its write slot opened.  (An append issued
         # at t=inf — a never-acked quorum's retry — has no meaningful wait.)
         wait = start - self.sim.now
         if math.isfinite(wait):
-            self.metrics.histogram("admission_wait_s").observe(wait)
+            if self._admission_wait_s is None:
+                self._admission_wait_s = self.metrics.histogram("admission_wait_s")
+            self._admission_wait_s.observe(wait)
         return start + self.append_latency_s
 
     def holds(self, ledger_id: int, entry_id: int) -> bool:
@@ -150,10 +157,11 @@ class Ledger:
             for offset in range(self.write_quorum)
         ]
         self._rotation += 1
-        completions = sorted(
+        completions = [
             bookie.append_completion_time(self.ledger_id, entry_id)
             for bookie in chosen
-        )
+        ]
+        completions.sort()
         ack_time = completions[self.ack_quorum - 1]
         self.entries.append(LedgerEntry(entry_id, payload, size_mb, chosen))
         return entry_id, ack_time

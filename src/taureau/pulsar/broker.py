@@ -70,6 +70,20 @@ class BrokerTopic:
         self.ledgers.append(new_ledger)
 
 
+class _TopicMetrics:
+    """One topic's per-message metric handles on the broker acking it."""
+
+    __slots__ = ("messages", "bytes", "persist_latency")
+
+    def __init__(self, registry: MetricRegistry, topic: str):
+        self.messages = registry.labeled_counter(
+            "messages_by", ("topic",)).labels(topic=topic)
+        self.bytes = registry.labeled_counter(
+            "bytes_by", ("topic",)).labels(topic=topic)
+        #: Bound at the topic's first finite persist latency.
+        self.persist_latency = None
+
+
 class Broker:
     """Receives, persists and dispatches messages for its topics."""
 
@@ -96,6 +110,14 @@ class Broker:
         self.alive = True
         self.topics: typing.Dict[str, BrokerTopic] = {}
         self.metrics = MetricRegistry(namespace="pulsar")
+        # Bound on the first ack, where a per-message lookup would first
+        # have created these metrics.
+        self._messages_persisted = None
+        self._bytes_persisted_mb = None
+        #: Topic name -> the handles this broker records that topic's
+        #: acks into.  Kept here, not on BrokerTopic: after a failover the
+        #: acks this broker already scheduled still count in its registry.
+        self._topic_metrics: typing.Dict[str, _TopicMetrics] = {}
         self._next_free = 0.0
         # Clusters share one counter across their brokers so ledger ids
         # stay unique and replayable; standalone brokers fall back to
@@ -206,22 +228,29 @@ class Broker:
         topic.backlog.append(message)
         dropped = topic.prune_backlog(self.sim.now)
         if dropped:
+            # By name: rare, and on a retention-0 topic this is created
+            # before messages_persisted.
             self.metrics.counter("backlog_expired").add(dropped)
-        self.metrics.counter("messages_persisted").add()
-        self.metrics.counter("bytes_persisted_mb").add(message.size_mb)
-        self.metrics.labeled_counter("messages_by", ("topic",)).add(
-            topic=topic.name
-        )
-        self.metrics.labeled_counter("bytes_by", ("topic",)).add(
-            message.size_mb, topic=topic.name
-        )
+        handles = self._topic_metrics.get(topic.name)
+        if handles is None:
+            if self._messages_persisted is None:
+                self._messages_persisted = self.metrics.counter("messages_persisted")
+                self._bytes_persisted_mb = self.metrics.counter("bytes_persisted_mb")
+            handles = _TopicMetrics(self.metrics, topic.name)
+            self._topic_metrics[topic.name] = handles
+        self._messages_persisted.add()
+        self._bytes_persisted_mb.add(message.size_mb)
+        handles.messages.add()
+        handles.bytes.add(message.size_mb)
         persist_latency = self.sim.now - message.publish_time
         if math.isfinite(persist_latency):
             # A crashed-quorum append acks at t=inf; that is "never", not
-            # a latency sample.
-            self.metrics.labeled_histogram(
-                "persist_latency_by", ("topic",)
-            ).observe(persist_latency, topic=topic.name)
+            # a latency sample, so it must not create the metric either.
+            if handles.persist_latency is None:
+                handles.persist_latency = self.metrics.labeled_histogram(
+                    "persist_latency_by", ("topic",)
+                ).labels(topic=topic.name)
+            handles.persist_latency.observe(persist_latency)
         for subscription in topic.subscriptions.values():
             if span is not None:
                 self.sim.tracer.record(

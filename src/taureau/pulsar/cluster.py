@@ -102,6 +102,8 @@ class PulsarCluster:
             )
             for index in range(broker_count)
         ]
+        # Brokers are fixed after construction.
+        self._brokers_by_id = {broker.broker_id: broker for broker in self.brokers}
         self._assignment_rr = itertools.count()
 
     # ------------------------------------------------------------------
@@ -137,9 +139,9 @@ class PulsarCluster:
         return self.metadata.get(f"/topics/{name}")
 
     def broker_of(self, partition_name: str) -> Broker:
-        broker_id = self.metadata.get(f"/assignments/{partition_name}")
-        broker = next(b for b in self.brokers if b.broker_id == broker_id)
-        return broker
+        return self._brokers_by_id[
+            self.metadata.get(f"/assignments/{partition_name}")
+        ]
 
     def topics(self) -> list:
         return [

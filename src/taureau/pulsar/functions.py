@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import typing
 
-from taureau.pulsar.cluster import PulsarCluster
+from taureau.pulsar.cluster import Producer, PulsarCluster
 from taureau.pulsar.topic import Message, SubscriptionType
 from taureau.sim import MetricRegistry
 
@@ -37,6 +37,9 @@ class FunctionContext:
         #: without ``with_durability``).  :meth:`publish` routes side
         #: outputs through it so a redelivered message replays them.
         self.journal = None
+        #: Output topic -> this function's producer for it.  One producer
+        #: per topic keeps unkeyed outputs round-robining over partitions.
+        self._producers: dict = {}
 
     # -- message metadata -----------------------------------------------------
 
@@ -85,13 +88,18 @@ class FunctionContext:
         if self.journal is not None:
             return self.journal.apply(
                 self, f"pulsar.publish:{topic}",
-                lambda: self._runtime.cluster.producer(topic).send(
+                lambda: self._producer(topic).send(
                     payload, key=key, parent=parent
                 ),
             )
-        return self._runtime.cluster.producer(topic).send(
-            payload, key=key, parent=parent
-        )
+        return self._producer(topic).send(payload, key=key, parent=parent)
+
+    def _producer(self, topic: str) -> Producer:
+        producer = self._producers.get(topic)
+        if producer is None:
+            producer = self._runtime.cluster.producer(topic)
+            self._producers[topic] = producer
+        return producer
 
 
 class PulsarFunction:
@@ -204,7 +212,10 @@ class FunctionsRuntime:
             self._deployed[function.name] = context
             return context
 
+        processed = None  # bound at the first processed message
+
         def listener(message: Message, consumer) -> None:
+            nonlocal processed
             entry = None
             if self.durable is not None:
                 entry = self.durable.message_entry(
@@ -247,7 +258,7 @@ class FunctionsRuntime:
                     consumer.nack(message)
                 else:
                     # Dead-letter: stop redelivering a poison message.
-                    self._dead_letter(function, message)
+                    self._dead_letter(context, message)
                     if entry is not None:
                         self.durable.finalize(entry, "dead_lettered")
                     consumer.ack(message)
@@ -262,9 +273,11 @@ class FunctionsRuntime:
                 )
             if entry is not None:
                 self.durable.finalize(entry, "ok")
-            self.metrics.counter(f"{function.name}.processed").add()
+            if processed is None:
+                processed = self.metrics.counter(f"{function.name}.processed")
+            processed.add()
             if result is not None and function.output_topic is not None:
-                self.cluster.producer(function.output_topic).send(
+                context._producer(function.output_topic).send(
                     result, key=message.key,
                     parent=fn_span if fn_span is not None else None,
                 )
@@ -303,8 +316,10 @@ class FunctionsRuntime:
         pending: list = []
         flush_scheduled = [False]
         sim = self.cluster.sim
+        processed = batches = None  # bound after the first good batch
 
         def run_batch(batch: list) -> None:
+            nonlocal processed, batches
             payloads = [message.payload for message, __ in batch]
             context._message = batch[-1][0]
             tracer = sim.tracer
@@ -333,15 +348,18 @@ class FunctionsRuntime:
                     consumer.nack(message)
                 else:
                     # Dead-letter: stop redelivering a poison message.
-                    self._dead_letter(function, message)
+                    self._dead_letter(context, message)
                     consumer.ack(message)
                 return
             finally:
                 context._message = None
-            self.metrics.counter(f"{function.name}.processed").add(len(batch))
-            self.metrics.counter(f"{function.name}.batches").add()
+            if processed is None:
+                processed = self.metrics.counter(f"{function.name}.processed")
+                batches = self.metrics.counter(f"{function.name}.batches")
+            processed.add(len(batch))
+            batches.add()
             if results is not None and function.output_topic is not None:
-                producer = self.cluster.producer(function.output_topic)
+                producer = context._producer(function.output_topic)
                 for result in results:
                     if result is not None:
                         producer.send(result)
@@ -366,13 +384,14 @@ class FunctionsRuntime:
 
         return listener
 
-    def _dead_letter(self, function: PulsarFunction, message: Message) -> None:
+    def _dead_letter(self, context: FunctionContext, message: Message) -> None:
         """Count a poison message and forward it to the DLQ topic (if any).
 
         The DLQ topic is auto-created on first use so operators can
         declare it lazily; the forwarded message keeps the original
         payload, key and trace context for post-mortem replay.
         """
+        function = context._function
         self.metrics.counter(f"{function.name}.dead_lettered").add()
         self.metrics.labeled_counter("dead_letters_by", ("function",)).add(
             function=function.name
@@ -382,7 +401,7 @@ class FunctionsRuntime:
             return
         if not self.cluster.metadata.exists(f"/topics/{topic}"):
             self.cluster.create_topic(topic)
-        self.cluster.producer(topic).send(
+        context._producer(topic).send(
             message.payload, key=message.key, parent=message.trace
         )
 

@@ -55,6 +55,7 @@ class GeoReplicator:
         self.destination_region = destination_region
         self.wan_latency_s = wan_latency_s
         self.metrics = MetricRegistry()
+        self._producer = None  # created at the first replicated publish
         source.subscribe(
             topic,
             subscription_name=f"geo-{destination_region}",
@@ -78,7 +79,10 @@ class GeoReplicator:
                                 message.key)
 
     def _publish(self, wrapped: ReplicatedPayload, key) -> None:
-        self.destination.producer(self.topic).send(wrapped, key=key)
+        # One producer, so unkeyed messages round-robin over partitions.
+        if self._producer is None:
+            self._producer = self.destination.producer(self.topic)
+        self._producer.send(wrapped, key=key)
 
 
 def unwrap(payload: object) -> object:

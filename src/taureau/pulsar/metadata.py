@@ -28,6 +28,7 @@ class MetadataStore:
         self.sim = sim
         self.calibration = calibration
         self.metrics = MetricRegistry(namespace="pulsar.metadata")
+        self._operations = None  # bound on the first operation
         self._data: dict = {}
         self._sequences = itertools.count(1)
 
@@ -70,4 +71,6 @@ class MetadataStore:
         return self.calibration.zookeeper_op_s
 
     def _op(self) -> None:
-        self.metrics.counter("operations").add()
+        if self._operations is None:
+            self._operations = self.metrics.counter("operations")
+        self._operations.add()

@@ -97,6 +97,8 @@ class WindowedAggregator:
         self.finalize = finalize
         self.add_many = add_many
         self.metrics = MetricRegistry()
+        self._messages = None  # bound on the first message
+        self._producer = None  # created at the first flush
         #: (key, window_start) -> [accumulator, count]
         self._open_windows: dict = {}
         self._flush_scheduled: set = set()
@@ -130,7 +132,7 @@ class WindowedAggregator:
             window = self._open_windows[slot]
             window[0] = self.add(window[0], payload)
             window[1] += 1
-        self.metrics.counter("messages").add()
+        self._count_messages(1)
         return None
 
     def _process_batch(self, payloads: list, ctx) -> None:
@@ -156,8 +158,13 @@ class WindowedAggregator:
                 window = self._open_windows[slot]
                 window[0] = self.add_many(window[0], group)
                 window[1] += len(group)
-        self.metrics.counter("messages").add(len(payloads))
+        self._count_messages(len(payloads))
         return None
+
+    def _count_messages(self, count: int) -> None:
+        if self._messages is None:
+            self._messages = self.metrics.counter("messages")
+        self._messages.add(count)
 
     def _windows_containing(self, time: float) -> list:
         """Start times of every window (tumbling: one) covering ``time``."""
@@ -181,7 +188,8 @@ class WindowedAggregator:
         closing = [
             slot for slot in self._open_windows if slot[1] == window_start
         ]
-        producer = self.cluster.producer(self.output_topic)
+        if self._producer is None:
+            self._producer = self.cluster.producer(self.output_topic)
         for slot in sorted(closing, key=lambda s: (s[0] is None, s[0])):
             accumulator, count = self._open_windows.pop(slot)
             result = WindowResult(
@@ -191,6 +199,6 @@ class WindowedAggregator:
                 value=self.finalize(accumulator),
                 count=count,
             )
-            producer.send(result, key=slot[0])
+            self._producer.send(result, key=slot[0])
             self.metrics.counter("windows_emitted").add()
         self._flush_scheduled.discard(window_start)

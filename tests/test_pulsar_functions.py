@@ -1,5 +1,7 @@
 """Tests for the Pulsar Functions runtime (paper §4.3.1 / Figure 3)."""
 
+import collections
+
 import pytest
 
 from taureau.pulsar import (
@@ -275,3 +277,55 @@ class TestBatchFunctions:
                 input_topics=["x"],
                 max_batch=0,
             )
+
+
+def _side_output(payload, ctx):
+    ctx.publish("out", payload)
+
+
+def _poison(payload, ctx):
+    raise ValueError("poison message")
+
+
+class TestUnkeyedOutputs:
+    """A function's unkeyed outputs round-robin over the output topic's
+    partitions, as one producer's sends do."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(process=lambda payload, ctx: payload, output_topic="out"),
+        dict(process_batch=lambda payloads, ctx: payloads, output_topic="out"),
+        dict(process=_side_output),
+        dict(process=_poison, max_redeliveries=0, dead_letter_topic="out"),
+    ], ids=["output", "batch_output", "publish", "dead_letter"])
+    def test_spread_over_partitions(self, kwargs):
+        sim, cluster, runtime = make_runtime()
+        cluster.create_topic("in")
+        cluster.create_topic("out", partitions=4)
+        runtime.deploy(PulsarFunction(name="echo", input_topics=["in"], **kwargs))
+        delivered = collections.Counter()
+        cluster.subscribe(
+            "out", "check", listener=lambda m, c: delivered.update([m.topic])
+        )
+        cluster.publish_all("in", range(40))
+        sim.run()
+        assert delivered == {f"out-partition-{index}": 10 for index in range(4)}
+
+    def test_keyed_outputs_still_route_by_key(self):
+        sim, cluster, runtime = make_runtime()
+        cluster.create_topic("in")
+        cluster.create_topic("out", partitions=4)
+        runtime.deploy(PulsarFunction(
+            name="echo", process=lambda payload, ctx: payload,
+            input_topics=["in"], output_topic="out",
+        ))
+        partitions = collections.defaultdict(set)
+        cluster.subscribe(
+            "out", "check",
+            listener=lambda m, c: partitions[m.key].add(m.topic),
+        )
+        producer = cluster.producer("in")
+        for index in range(40):
+            producer.send(index, key=f"user{index % 5}")
+        sim.run()
+        assert len(partitions) == 5
+        assert all(len(topics) == 1 for topics in partitions.values())

@@ -122,6 +122,21 @@ class TestGeoReplication:
         sim.run()
         assert keys == ["customer-42"]
 
+    def test_unkeyed_messages_spread_over_destination_partitions(self):
+        sim = Simulation(seed=0)
+        east = PulsarCluster(sim, broker_count=2, bookie_count=3)
+        west = PulsarCluster(sim, broker_count=2, bookie_count=3)
+        east.create_topic("orders")
+        west.create_topic("orders", partitions=4)
+        GeoReplicator(sim, east, west, "orders", "us-east", "us-west")
+        delivered = []
+        west.subscribe("orders", "app",
+                       listener=lambda m, c: delivered.append(m.topic))
+        east.publish_all("orders", range(8))
+        sim.run()
+        assert delivered == [f"orders-partition-{index % 4}"
+                             for index in range(8)]
+
     def test_negative_latency_rejected(self):
         sim, east, west = self.make_pair()
         with pytest.raises(ValueError):

@@ -181,3 +181,21 @@ class TestBatchWindows:
             ("x", 2),
             ("y", 1),
         ]
+
+
+class TestWindowOutputs:
+    def test_unkeyed_windows_spread_over_output_partitions(self):
+        sim = Simulation(seed=0)
+        cluster = PulsarCluster(sim, broker_count=2, bookie_count=3)
+        cluster.create_topic("in")
+        cluster.create_topic("out", partitions=4)
+        WindowedAggregator(
+            FunctionsRuntime(cluster), "counter", ["in"], "out", window_s=10.0
+        )
+        delivered = []
+        cluster.subscribe("out", "check",
+                          listener=lambda m, c: delivered.append(m.topic))
+        publish_at(sim, cluster, [(10.0 * index + 1.0, index)
+                                  for index in range(8)])
+        sim.run()
+        assert delivered == [f"out-partition-{index % 4}" for index in range(8)]
