@@ -8,6 +8,11 @@ is open or half-open** — capacity added behind an open breaker is
 capacity the breaker exists to shed, and the two control loops would
 fight (the breaker sheds load, the autoscaler reads the drop as
 headroom, adds capacity, repeat).
+
+Each policy iterates :meth:`~taureau.control.SignalView.active` plus the
+functions its carried state still moves, never every registered
+function: a function it skips is one on which it would take no action
+and whose state it would not change.
 """
 
 from __future__ import annotations
@@ -68,7 +73,9 @@ class ReactiveConcurrency(Policy):
 
     def tick(self, signals, actuator) -> None:
         alert_firing = signals.alerting()
-        for name in signals.functions():
+        # An inactive function has an empty queue, so only a raised one
+        # (whose calm count advances) can need anything.
+        for name in signals.active(also=self._raised):
             if signals.breaker_open(name):
                 # Never add capacity behind an open breaker.
                 continue
@@ -89,7 +96,7 @@ class ReactiveConcurrency(Policy):
                 self._calm[name] = calm
                 if calm >= self.cooldown_ticks and queue <= self.low_queue:
                     actuator.set_concurrency_limit(name, None)
-                    self._raised[name] = False
+                    del self._raised[name]
                     self._calm[name] = 0
 
 
@@ -117,12 +124,22 @@ class PredictivePrewarm(Policy):
         self.min_arrivals = min_arrivals
         self.min_latency_s = min_latency_s
         self._prev_rate: typing.Dict[str, float] = {}
+        # Functions whose last recorded rate is non-zero (ordered set).
+        self._nonzero: typing.Dict[str, None] = {}
 
     def tick(self, signals, actuator) -> None:
-        for name in signals.functions():
+        # An inactive function had no arrival, so its rate is 0: it cannot
+        # be ramping, and only its recorded rate moves (to 0.0).  Every
+        # function is active on its first tick, which records its rate.
+        stale = self._nonzero
+        self._nonzero = {}
+        for name in signals.active():
             rate = signals.arrival_rate(name)
             previous = self._prev_rate.get(name)
             self._prev_rate[name] = rate
+            stale.pop(name, None)
+            if rate:
+                self._nonzero[name] = None
             if previous is None or signals.interarrival_count(name) < self.min_arrivals:
                 continue  # not enough history to forecast
             slope = rate - previous  # per interval
@@ -143,6 +160,8 @@ class PredictivePrewarm(Policy):
             gap = desired - have
             if gap > 0:
                 actuator.prewarm(name, min(gap, self.max_prewarm))
+        for name in stale:
+            self._prev_rate[name] = 0.0
 
 
 class HybridKeepAlive(Policy):
@@ -178,7 +197,10 @@ class HybridKeepAlive(Policy):
         self.tolerance = tolerance
 
     def tick(self, signals, actuator) -> None:
-        for name in signals.functions():
+        # The target moves only with the interarrival histogram (an
+        # arrival) and the keep-alive only with an override; both make
+        # the function active.
+        for name in signals.active():
             if signals.interarrival_count(name) < self.min_samples:
                 continue
             gap = signals.interarrival_percentile(name, self.quantile)

@@ -15,9 +15,17 @@ kinds of signal:
   alerts that fired since the previous tick (collected through
   ``Monitor.on_alert``).
 
-Everything is plain data computed at view-build time; policies cannot
-mutate platform state through it (actuation goes through the
+Everything except circuit-breaker state is plain data computed at
+view-build time; breaker state is read from the resilience layer when
+asked, since breakers never move while policies tick.  Policies cannot
+mutate platform state through the view (actuation goes through the
 :class:`~taureau.control.Actuator`).
+
+:meth:`SignalView.active` names the functions whose signals may differ
+from the previous tick's.  A policy may iterate it, plus whatever its
+own carried state needs, instead of :meth:`SignalView.functions`, as
+long as it would take no action on, and change no state for, any
+function it skips.
 """
 
 from __future__ import annotations
@@ -47,14 +55,21 @@ class SignalView:
         "_latency",
         "_alerts",
         "_breaker",
+        "_active",
+        "_positions",
     )
 
     def __init__(self, *, now, interval_s, functions, arrivals, cold, warm,
                  queue, running, warm_pool, provisioned, keep_alive,
-                 conc_limit, interarrival, latency, alerts, breaker):
+                 conc_limit, interarrival, latency, alerts, breaker,
+                 active=None, positions=None):
         self.now = now
         self.interval_s = interval_s
         self._functions = tuple(functions)
+        self._active = self._functions if active is None else tuple(active)
+        #: ``name -> deployment position``; derived from ``functions``
+        #: on first use when not given.
+        self._positions = positions
         self._arrivals = arrivals
         self._cold = cold
         self._warm = warm
@@ -74,6 +89,28 @@ class SignalView:
     def functions(self) -> tuple:
         """Registered function names, in deployment order."""
         return self._functions
+
+    def active(self, also: typing.Iterable[str] = ()) -> tuple:
+        """The functions whose signals may have changed, in deployment order.
+
+        Those are the functions with any arrival, start, finish, queue,
+        pool or override change since the previous tick, those
+        registered since then, and those with parked work; every other
+        function reads as it did last tick, with zero deltas.  ``also``
+        adds names a policy carries state for.  A view built without
+        ``active`` treats every function as active.
+        """
+        if not also:
+            return self._active
+        names = set(self._active)
+        names.update(also)
+        if len(names) == len(self._active):
+            return self._active
+        if self._positions is None:
+            self._positions = {
+                name: index for index, name in enumerate(self._functions)
+            }
+        return tuple(sorted(names, key=self._positions.__getitem__))
 
     # -- rate signals (deltas since the previous tick) ---------------------
 
@@ -171,5 +208,6 @@ class SignalView:
         Covers ``open`` and ``half_open``: a half-open breaker is still
         probing, and scale-up while it probes would fight the breaker's
         backoff.  Always False when no resilience layer is installed.
+        A loop-built view reads the breaker's current state.
         """
         return self._breaker.get(name, "closed") != "closed"

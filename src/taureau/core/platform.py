@@ -380,6 +380,13 @@ class FaasPlatform:
         #: installed by ``Platform.with_audit()`` (the wiring-time
         #: determinism audit).  ``None`` keeps registration bare.
         self.audit_hook = None
+        #: Function names and pool keys whose control signals changed,
+        #: as an insertion-ordered dict; ``None`` until a
+        #: :class:`~taureau.control.ControlLoop` attaches, so a platform
+        #: without one pays one ``is None`` test per mark site.
+        self._changed: typing.Optional[dict] = None
+        # Cold plus warm starts so far; a plain count, not a metric.
+        self._starts = 0
 
     # ------------------------------------------------------------------
     # Deployment API
@@ -394,6 +401,9 @@ class FaasPlatform:
         if self.audit_hook is not None:
             self.audit_hook(spec)
         self._functions[spec.name] = spec
+        if self._changed is not None:
+            # A re-registration may change reserved concurrency or tenant.
+            self._changed[spec.name] = None
         return spec
 
     def function(self, name: str, **spec_kwargs):
@@ -555,6 +565,8 @@ class FaasPlatform:
             raise ValueError("count must be nonnegative")
         pool_key = self._pool_key(spec)
         bucket = self._idle[pool_key]
+        if self._changed is not None:
+            self._changed[pool_key] = None
         existing = bucket.provisioned
         if count < existing:
             idle_provisioned = [
@@ -633,6 +645,8 @@ class FaasPlatform:
         the function that returns the sandbox.
         """
         self.spec(name)
+        if self._changed is not None:
+            self._changed[name] = None
         if keep_alive_s is None:
             self._keep_alive_overrides.pop(name, None)
             return
@@ -661,6 +675,8 @@ class FaasPlatform:
             if limit < 1:
                 raise ValueError("limit must be at least 1 (or None to clear)")
             self._concurrency_overrides[name] = int(limit)
+        if self._changed is not None:
+            self._changed[name] = None
         self._drain_pending()
 
     def concurrency_limit_for(self, name: str) -> typing.Optional[int]:
@@ -730,6 +746,12 @@ class FaasPlatform:
     @property
     def running_count(self) -> int:
         return self._running
+
+    @property
+    def start_count(self) -> int:
+        """Cold plus warm starts so far (a plain count, not a metric, so
+        ``snapshot()`` does not show it)."""
+        return self._starts
 
     def with_resilience(self, policy):
         """Install a :class:`~taureau.chaos.ResiliencePolicy` on invoke.
@@ -818,11 +840,16 @@ class FaasPlatform:
         sandbox.attempt = None
         del self._executing[attempt]
         if sandbox.provisioned:
-            self._idle[self._pool_key(sandbox.spec)].provisioned -= 1
+            pool_key = self._pool_key(sandbox.spec)
+            self._idle[pool_key].provisioned -= 1
+            if self._changed is not None:
+                self._changed[pool_key] = None
         attempt.execution_epoch += 1  # invalidate the queued finish
         self._exit_cpu(sandbox, attempt.spec)
         self._running -= 1
         self._running_per_function[attempt.spec.name] -= 1
+        if self._changed is not None:
+            self._changed[attempt.spec.name] = None
         self._hot.running.record(self.sim.now, self._running)
         return attempt
 
@@ -831,6 +858,11 @@ class FaasPlatform:
     # ------------------------------------------------------------------
 
     def _dispatch(self, attempt: _Attempt) -> None:
+        if self._changed is not None:
+            # Every caller has just moved this function's signals (an
+            # arrival, a drained or re-dispatched attempt), and dispatch
+            # itself starts or parks it.
+            self._changed[attempt.spec.name] = None
         config = self.config
         if (
             config.concurrency_limit is not None
@@ -867,6 +899,7 @@ class FaasPlatform:
         self._hot.running.record(self.sim.now, self._running)
         attempt.last_dispatch_cold = cold
         (attempt.fn.cold if cold else attempt.fn.warm).add()
+        self._starts += 1
         start_delay = config.calibration.scheduler_overhead_s
         if cold:
             cold_latency = config.calibration.cold_start_latency(
@@ -937,11 +970,14 @@ class FaasPlatform:
 
     def _acquire_sandbox(self, spec: FunctionSpec):
         """Returns ``(sandbox, is_cold)``; ``(None, False)`` if no capacity."""
-        idle = self._idle[self._pool_key(spec)]
+        pool_key = self._pool_key(spec)
+        idle = self._idle[pool_key]
         for position in range(len(idle) - 1, -1, -1):
             sandbox = idle[position]  # LIFO keeps the hottest sandbox in use
             if sandbox.spec.memory_mb >= spec.memory_mb:
                 del idle[position]
+                if self._changed is not None:
+                    self._changed[pool_key] = None
                 if sandbox.provisioned:
                     idle.provisioned -= 1  # back when it starts executing
                 self._leave_idle(sandbox)
@@ -1028,12 +1064,17 @@ class FaasPlatform:
 
     def _retire_sandbox(self, sandbox: Sandbox) -> None:
         """Full cleanup for one sandbox, wherever it currently lives."""
-        bucket = self._idle[self._pool_key(sandbox.spec)]
+        pool_key = self._pool_key(sandbox.spec)
+        bucket = self._idle[pool_key]
         if sandbox in bucket:
             bucket.remove(sandbox)
             if sandbox.provisioned:
                 bucket.provisioned -= 1
+            if self._changed is not None:
+                self._changed[pool_key] = None
         self._leave_idle(sandbox)
+        # A retired sandbox's pending keep-alive timer must not expire it.
+        sandbox.expiry_token = None
         if sandbox.machine is not None and sandbox.allocation is not None:
             self._account_sandbox_memory(-sandbox.spec.memory_mb)
             self._tenants_on[sandbox.machine.machine_id][sandbox.spec.tenant] -= 1
@@ -1050,8 +1091,11 @@ class FaasPlatform:
         sandbox.destroy()
 
     def _return_to_pool(self, sandbox: Sandbox) -> None:
+        pool_key = self._pool_key(sandbox.spec)
         if sandbox.provisioned:
-            self._idle[self._pool_key(sandbox.spec)].append(sandbox)
+            self._idle[pool_key].append(sandbox)
+            if self._changed is not None:
+                self._changed[pool_key] = None
             return
         keep_alive = self._keep_alive_overrides.get(
             sandbox.spec.name, self.config.effective_keep_alive()
@@ -1061,8 +1105,10 @@ class FaasPlatform:
             return
         token = object()
         sandbox.expiry_token = token
-        bucket = self._idle[self._pool_key(sandbox.spec)]
+        bucket = self._idle[pool_key]
         bucket.append(sandbox)
+        if self._changed is not None:
+            self._changed[pool_key] = None
         sandbox.idle_seq = seq = next(self._idle_seqs)
         heapq.heappush(
             self._evictable, (sandbox.created_at, bucket.ordinal, seq, sandbox)
@@ -1105,7 +1151,10 @@ class FaasPlatform:
         self._executing[attempt] = sandbox
         sandbox.attempt = attempt
         if sandbox.provisioned:
-            self._idle[self._pool_key(sandbox.spec)].provisioned += 1
+            pool_key = self._pool_key(sandbox.spec)
+            self._idle[pool_key].provisioned += 1
+            if self._changed is not None:
+                self._changed[pool_key] = None
 
         # Race-sanitizer boundary checks (Simulation(sanitize=True)): the
         # payload is entering a sandbox, so any drift since it last crossed
@@ -1218,6 +1267,8 @@ class FaasPlatform:
         self._exit_cpu(sandbox, spec)
         self._running -= 1
         self._running_per_function[spec.name] -= 1
+        if self._changed is not None:
+            self._changed[spec.name] = None
         self._hot.running.record(self.sim.now, self._running)
         self._bill(attempt, exec_duration)
         self._return_to_pool(sandbox)

@@ -184,9 +184,9 @@ class RunRecorder:
         self._times: typing.List[float] = []
         #: Columnar series, each list padded to len(_times).
         self._series: typing.Dict[str, typing.List[float]] = {}
-        #: Cumulative counter snapshots for per-tick deltas, keyed by the
-        #: labeled child metric itself or by the lane name.
-        self._prev: typing.Dict[object, float] = {}
+        #: Cumulative counter snapshots for per-tick deltas, keyed by
+        #: lane or counter name.
+        self._prev: typing.Dict[str, float] = {}
         #: Last seen breaker state per function (transition detection).
         self._breaker_prev: typing.Dict[str, str] = {}
         #: Synthesized breaker transition events.
@@ -259,15 +259,12 @@ class RunRecorder:
             self._record(f'warm_pool{{function="{name}"}}', warm)
             self._record(f'running{{function="{name}"}}', faas.running_for(name))
         self._record("faas.warm_pool", warm_total)
-        starts = faas.metrics.find("starts_by")
-        cold_delta = 0.0
-        start_delta = 0.0
-        if starts is not None:
-            for (function, kind), child in starts.items():
-                delta = self._delta(child, child.value)
-                start_delta += delta
-                if kind == "cold":
-                    cold_delta += delta
+        cold_starts = faas.metrics.find("cold_starts")
+        cold_delta = self._delta(
+            "faas.cold_starts",
+            cold_starts.value if cold_starts is not None else 0.0,
+        )
+        start_delta = self._delta("faas.starts", faas.start_count)
         self._record(
             "faas.cold_fraction",
             cold_delta / start_delta if start_delta > 0 else 0.0,

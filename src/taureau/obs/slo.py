@@ -16,7 +16,9 @@ Everything is windowed against cumulative snapshots: counters are
 sampled per tick into a ring buffer and windows are deltas between ring
 entries; histograms use :meth:`~taureau.sim.metrics.Histogram.state`
 snapshots and bucket-wise subtraction (mergeable implies subtractable).
-No raw samples are retained anywhere.
+No raw samples are retained anywhere.  A snapshot's at-or-below count
+for an SLO threshold is computed once and kept with the snapshot, so
+evaluating an SLO walks a snapshot's buckets at most once.
 """
 
 from __future__ import annotations
@@ -179,6 +181,14 @@ class AlertEvent:
     kind: str
     time: float
     severity: str
+
+
+class _HistogramSample(typing.NamedTuple):
+    """One windowed :meth:`Histogram.state` and its at-or-below counts."""
+
+    state: tuple
+    #: ``threshold -> samples at or below it``, filled on first query.
+    below: dict
 
 
 class _Window:
@@ -390,7 +400,7 @@ class Monitor:
                 # Lazily created metrics: a missing counter is a zero.
                 window.push(now, 0.0)
             elif isinstance(metric, Histogram):
-                window.push(now, metric.state())
+                window.push(now, _HistogramSample(metric.state(), {}))
             elif hasattr(metric, "value"):
                 window.push(now, float(metric.value))
             elif getattr(metric, "values", None):
@@ -435,9 +445,9 @@ class Monitor:
         if not isinstance(metric, Histogram):
             return None
         pair = self._delta(rule.source, rule.window_s, now)
-        if pair is None or not isinstance(pair[0], tuple):
+        if pair is None or not isinstance(pair[0], _HistogramSample):
             return None
-        return metric.percentile_since(pair[0], rule.q)
+        return metric.percentile_since(pair[0].state, rule.q)
 
     # -- SLO accounting ----------------------------------------------------
 
@@ -449,14 +459,17 @@ class Monitor:
             if not isinstance(metric, Histogram):
                 return 0.0, 0.0
             pair = self._delta(slo.latency, window_s, now)
-            if pair is None or not isinstance(pair[0], tuple):
+            if pair is None or not isinstance(pair[0], _HistogramSample):
                 return 0.0, 0.0
-            then_state, __ = pair
-            now_state = metric.state()
-            total = now_state[0] - then_state[0]
-            then_below = _count_at_or_below_state(
-                metric, then_state, slo.threshold_s
-            )
+            then, __ = pair
+            total = metric.count - then.state[0]
+            then_below = then.below.get(slo.threshold_s)
+            if then_below is None:
+                then_below = then.below[slo.threshold_s] = (
+                    _count_at_or_below_state(
+                        metric, then.state, slo.threshold_s
+                    )
+                )
             now_below = metric.count_at_or_below(slo.threshold_s)
             return float(now_below - then_below), float(total)
         good = self._counter_increase(slo.good, window_s, now)

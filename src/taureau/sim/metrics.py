@@ -181,7 +181,8 @@ class Histogram:
     bucket.  ``count``/``total``/``mean``/``minimum``/``maximum``/
     ``stddev`` are tracked exactly on the side; ``percentile`` answers
     in O(buckets) with relative error bounded by ``growth - 1``, and a
-    repeated query against an unchanged histogram answers in O(1).
+    repeated ``percentile`` or ``count_at_or_below`` query against an
+    unchanged histogram answers in O(1).
     """
 
     DEFAULT_GROWTH = 1.05  # <= 5% relative error on quantiles
@@ -198,6 +199,7 @@ class Histogram:
         "_min",
         "_max",
         "_memo",
+        "_below_memo",
     )
 
     def __init__(self, name: str = "", growth: float = DEFAULT_GROWTH):
@@ -217,6 +219,9 @@ class Histogram:
         #: ``observe`` and every non-empty ``merge`` changes ``_count``, so
         #: an equal count means the same buckets and the same answer.
         self._memo: typing.Optional[tuple] = None
+        #: The last ``count_at_or_below`` answer as ``(threshold, count,
+        #: value)``, valid on the same grounds.
+        self._below_memo: typing.Optional[tuple] = None
 
     # -- recording ---------------------------------------------------------
 
@@ -327,10 +332,14 @@ class Histogram:
         """
         if threshold < 0:
             return 0
+        memo = self._below_memo
+        if memo is not None and memo[0] == threshold and memo[1] == self._count:
+            return memo[2]
         below = self._zero
         for index, count in self._counts.items():
             if self.bucket_upper(index) <= threshold * (1.0 + 1e-12):
                 below += count
+        self._below_memo = (threshold, self._count, below)
         return below
 
     def state(self) -> tuple:
@@ -514,6 +523,11 @@ class _LabeledFamily:
             self._children[key] = child
             self._sorted = None
         return child
+
+    def get(self, *values: str):
+        """The child for ``values`` (label values as strings, in label-name
+        order), or ``None``; never creates one."""
+        return self._children.get(values)
 
     def child_name(self, key: tuple) -> str:
         pairs = ",".join(

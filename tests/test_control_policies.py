@@ -93,6 +93,19 @@ class TestActuator:
             == [7, None]
 
 
+class TestSignalViewActive:
+    def test_a_view_built_without_active_treats_every_function_as_active(self):
+        view = make_view(functions=("f", "g", "h"))
+        assert view.active() == ("f", "g", "h")
+        assert view.active(also=("g",)) == ("f", "g", "h")
+
+    def test_also_merges_in_deployment_order(self):
+        view = make_view(functions=("f", "g", "h"), active=("h",))
+        assert view.active() == ("h",)
+        assert view.active(also=("f",)) == ("f", "h")
+        assert view.active(also={"h": True}) == ("h",)
+
+
 class TestControlLoopSignals:
     def test_arrival_deltas_reset_between_ticks(self):
         app = taureau.Platform(seed=1)

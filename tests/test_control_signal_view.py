@@ -1,18 +1,25 @@
 """The control loop's per-tick reads, checked against the scans they replaced.
 
-Every read the :class:`~taureau.control.ControlLoop` makes per tick is
-O(1) or one pass over registered functions: labeled families keep their
-sorted item list, histograms memoise their last percentile, the platform
-keeps per-pool provisioned and per-function pending counts, and counter
+Every read the :class:`~taureau.control.ControlLoop` makes per tick costs
+in proportion to what changed: the platform records which functions and
+pool keys changed, the loop refreshes only those rows of its signal
+table, histograms memoise their last percentile, the platform keeps
+per-pool provisioned and per-function pending counts, and counter
 deltas are keyed on the child metric.  The references here are the reads
 those replaced: name-keyed deltas over freshly sorted families, the
 O(pending) throttle-queue scan, the O(idle + executing) provisioned scan
-and a percentile computed from sorted buckets.  Seeded runs with
-throttling, per-tenant (``app_sandboxing``) and per-function pools,
-prewarms, provisioned concurrency moving up and down (capacity failures
-included), machine failures and all three reference policies must show
-every :class:`~taureau.control.SignalView` accessor the reference value
-at every tick.
+and a percentile computed from sorted buckets, for every function at
+every tick.  Seeded runs with throttling, per-tenant
+(``app_sandboxing``) and per-function pools, prewarms, provisioned
+concurrency moving up and down (capacity failures included), machine
+failures and all three reference policies must show every
+:class:`~taureau.control.SignalView` accessor the reference value at
+every tick.
+
+The change set is checked the same way: every function whose reference
+reading moved since the previous tick, or that has parked work, must be
+in ``active()``, and the same runs with views that call every function
+active must take the same actions.
 
 The recorder's ``durable.entries_open`` lane is checked the same way
 against a recount of open journal entries.
@@ -161,6 +168,41 @@ class ViewChecker(Policy):
         self.ticks_with_pending = 0
         self.ticks_mid_start = 0
         self.ticks_with_alerts = 0
+        self.ticks_partly_active = 0
+        #: Each function's table-backed readings at the previous tick.
+        self.readings = {}
+
+    def check_active(self, signals, ref):
+        """Every function that may read differently is in ``active()``."""
+        faas = self.app.faas
+        names = ref["names"]
+        active = signals.active()
+        assert list(active) == [name for name in names if name in active]
+        for name in names:
+            pool = faas._idle.get(faas._pool_key(faas.spec(name)), ())
+            gaps = ref["interarrival"].get(name)
+            latency = ref["latency"].get(name)
+            reading = (
+                ref["queue"][name],
+                faas.running_for(name),
+                len(pool),
+                ref["provisioned"][name],
+                faas.keep_alive_for(name),
+                faas.concurrency_limit_for(name),
+                gaps.count if gaps is not None else 0,
+                latency.count if latency is not None else 0,
+            )
+            moved = (
+                reading != self.readings.get(name)
+                or ref["queue"][name] > 0
+                or ref["arrivals"].get(name, 0.0)
+                or ref["cold"].get(name, 0.0)
+                or ref["warm"].get(name, 0.0)
+            )
+            if moved:
+                assert name in active, (signals.now, name)
+            self.readings[name] = reading
+        self.ticks_partly_active += len(active) < len(names)
 
     def tick(self, signals, actuator):
         faas = self.app.faas
@@ -168,6 +210,7 @@ class ViewChecker(Policy):
         names = ref["names"]
         invoker = faas._resilience
         assert signals.functions() == tuple(names)
+        self.check_active(signals, ref)
         assert signals.queue_depth() == sum(ref["queue"].values())
         assert signals.alerts == ref["alerts"]
         assert signals.alerting() == any(
@@ -210,11 +253,13 @@ class ViewChecker(Policy):
         self.ticks_with_alerts += bool(ref["alerts"])
 
 
-def drive(seed, app_sandboxing, horizon_s=60.0, rate_hz=12.0):
+def drive(seed, app_sandboxing, horizon_s=60.0, rate_hz=12.0,
+          all_active=False):
     """One seeded run with every per-tick read checked.
 
-    Returns the checker and the provisioned requests that ran out of
-    capacity.
+    ``all_active`` hands the policies views that call every function
+    active.  Returns the checker and the provisioned requests that ran
+    out of capacity.
     """
     app = taureau.Platform(
         seed=seed, machines=3, machine_memory_mb=2048.0, tracing=False,
@@ -238,6 +283,15 @@ def drive(seed, app_sandboxing, horizon_s=60.0, rate_hz=12.0):
         PredictivePrewarm(min_arrivals=2, max_prewarm=3),
         HybridKeepAlive(min_samples=4),
     ], interval_s=0.5)
+    if all_active:
+        build_view = app.control.build_view
+
+        def all_active_view():
+            view = build_view()
+            view._active = view.functions()
+            return view
+
+        app.control.build_view = all_active_view
 
     rng = random.Random(seed)
     names = [name for name, *__ in FUNCTIONS]
@@ -284,6 +338,80 @@ def test_every_signal_matches_the_reference_reads(seed, app_sandboxing):
     # A provisioned sandbox between leaving the pool and starting is
     # neither idle nor executing, so the scan (and the count) skip it.
     assert checker.ticks_mid_start, "no tick caught a provisioned warm start"
+    assert checker.ticks_partly_active, "every tick called every function active"
+
+
+@pytest.mark.parametrize("app_sandboxing", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_active_views_take_the_actions_of_all_function_views(
+        seed, app_sandboxing):
+    checker, __ = drive(seed, app_sandboxing)
+    everything, __ = drive(seed, app_sandboxing, all_active=True)
+    actions = checker.app.control.actuator.actions
+    assert actions == everything.app.control.actuator.actions
+    kinds = {(action.policy, action.verb, action.value is None)
+             for action in actions}
+    assert ("reactive", "concurrency_limit", False) in kinds  # a raise
+    assert ("reactive", "concurrency_limit", True) in kinds  # its clearing
+    assert ("predictive", "prewarm", False) in kinds
+    assert ("hybrid-keepalive", "keep_alive", False) in kinds
+
+
+def isolated_events(app_sandboxing):
+    """One platform event per tick window, each alone in moving a signal.
+
+    Every platform site that marks a function or pool as changed gets a
+    tick where it is the only one to mark it, so a missing mark shows up
+    as a stale reading: a re-registration (new concurrency limit, then a
+    new tenant), a finish that retires its sandbox (keep-alive 0), a
+    crash with no retry left, a machine failure under an executing
+    provisioned sandbox, and a provisioned warm start that straddles a
+    tick.
+    """
+    app = taureau.Platform(
+        seed=4, machines=2, machine_memory_mb=2048.0, tracing=False,
+        config=PlatformConfig(keep_alive_s=15.0, app_sandboxing=app_sandboxing),
+    )
+    for name, tenant, memory_mb in (("a0", "alpha", 256), ("a1", "alpha", 128),
+                                    ("b0", "beta", 256), ("k0", "gamma", 128),
+                                    ("c0", "gamma", 128)):
+        app.register(FunctionSpec(name=name, handler=work, tenant=tenant,
+                                  memory_mb=memory_mb))
+    app.with_resilience(ResiliencePolicy(retry=RetryPolicy(max_attempts=0)))
+    app.with_monitoring(slos=[], interval_s=1.0)
+    checker = ViewChecker(app)
+    app.with_control(policies=[checker], interval_s=1.0)
+    faas = app.faas
+    at = app.sim.schedule_at
+
+    def executing(name):
+        return next(sandbox for attempt, sandbox in faas._executing.items()
+                    if attempt.spec.name == name)
+
+    at(0.5, app.invoke, "a0", 3.0)
+    at(1.5, faas.set_provisioned_concurrency, "a1", 1)
+    at(2.5, app.register, FunctionSpec(
+        name="a1", handler=work, tenant="alpha", memory_mb=128,
+        reserved_concurrency=2))
+    at(4.5, app.register, FunctionSpec(
+        name="b0", handler=work, tenant="alpha", memory_mb=256))
+    at(5.5, faas.set_keep_alive, "k0", 0.0)
+    at(6.5, app.invoke, "k0", 2.0)  # finishes alone and is retired
+    at(9.5, app.invoke, "c0", 5.0)
+    at(11.5, lambda: faas.fail_sandbox(executing("c0")))  # no retry left
+    at(22.5, app.invoke, "a1", 5.0)  # takes the provisioned sandbox
+    at(24.5, lambda: faas.fail_machine(executing("a1").machine))
+    at(30.5, faas.set_provisioned_concurrency, "a1", 1)
+    at(31.998, app.invoke, "a1", 1.0)  # starts 4 ms later, after the tick
+    app.run()
+    return checker
+
+
+@pytest.mark.parametrize("app_sandboxing", [False, True])
+def test_a_lone_event_still_refreshes_its_rows(app_sandboxing):
+    checker = isolated_events(app_sandboxing)
+    assert checker.ticks >= 40
+    assert checker.ticks_mid_start, "no tick caught the provisioned warm start"
 
 
 def test_recorder_open_entries_lane_equals_a_recount():

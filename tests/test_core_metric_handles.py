@@ -83,7 +83,9 @@ class TestSnapshotUnchanged:
         assert list(snapshot) == BARE_RUN_KEYS
         assert snapshot["faas.invocations"] == 4.0
         assert snapshot["faas.cold_starts"] == 3.0
-        assert snapshot["faas.sandbox_expirations"] == 3.0
+        # g's sandbox was evicted, so only f's and h's expire.
+        assert snapshot["faas.sandbox_expirations"] == 2.0
+        assert snapshot["faas.sandbox_evictions"] == 3.0  # 1 pressure + 2
         assert snapshot['faas.starts_by{function="f",start="warm"}'] == 1.0
 
     def test_timeouts_and_errors_appear_only_once_they_occur(self):

@@ -216,6 +216,35 @@ class TestClusterBackedPlatform:
         assert platform.warm_pool_size("a") == 0
         assert platform.metrics.counter("sandbox_evictions").value == 1
 
+    def test_every_sandbox_is_retired_once(self):
+        sim = Simulation(seed=2)
+        cluster = Cluster.homogeneous(1, cpu_cores=64, memory_mb=1024)
+        platform = FaasPlatform(
+            sim, cluster=cluster, config=PlatformConfig(keep_alive_s=20.0)
+        )
+        names = [f"fn{index}" for index in range(6)]
+        for name in names:
+            platform.register(FunctionSpec(name=name, handler=echo, memory_mb=256))
+        for index in range(60):
+            sim.schedule_at(index * 1.5, platform.invoke, names[index * 5 % 6])
+
+        def conserved():
+            # Created = retired + alive; every retirement here is a reclaim.
+            metrics = platform.metrics
+            alive = sum(len(pool) for pool in platform._sandboxes_on.values())
+            return metrics.counter("cold_starts").value == (
+                metrics.counter("sandbox_evictions").value + alive)
+
+        sim.run(until=60.0)
+        assert conserved()
+        sim.run()
+        assert conserved()
+        metrics = platform.metrics
+        pressure = (metrics.counter("sandbox_evictions").value
+                    - metrics.counter("sandbox_expirations").value)
+        assert pressure > 0  # the run did evict under memory pressure
+        assert metrics.counter("sandbox_expirations").value > 0
+
     def test_contention_stretches_execution(self):
         sim = Simulation(seed=0)
         cluster = Cluster.homogeneous(1, cpu_cores=2, memory_mb=65536)

@@ -76,6 +76,24 @@ class TestMachineFailure:
         record = platform.invoke_sync("quick", None)
         assert record.cold_start and record.succeeded
 
+    def test_idle_sandbox_on_failed_machine_is_not_evicted_later(self):
+        sim, cluster, platform = make_stack()
+        platform.register(FunctionSpec(
+            name="quick", handler=lambda e, c: c.charge(0.01), memory_mb=512,
+        ))
+        platform.invoke_sync("quick", None)
+        victim = next(
+            machine for machine in cluster.machines
+            if platform._sandboxes_on[machine.machine_id]
+        )
+        platform.fail_machine(victim)
+        # The dead sandbox's keep-alive timer (300 s) still fires, and
+        # still holds the simulation open until then, but expires nothing.
+        sim.run()
+        snapshot = platform.metrics.snapshot()
+        assert "faas.sandbox_evictions" not in snapshot
+        assert "faas.sandbox_expirations" not in snapshot
+
     def test_failure_during_cold_start_redispatches(self):
         sim, cluster, platform = make_stack()
         platform.register(FunctionSpec(name="job", handler=work, memory_mb=512))

@@ -196,6 +196,75 @@ class TestBurnRateAlerts:
         slo = monitor.slos[0]
         assert monitor.error_ratio(slo, 60.0) == pytest.approx(0.5)
 
+    def test_latency_slo_matches_a_bucket_walk_every_tick(self):
+        import bisect
+        import random
+
+        sim, registry, monitor = make_monitor()
+        slo = monitor.add_slo(SloObjective(
+            "fast", objective=0.9, window_s=20.0,
+            latency="app.latency_s", threshold_s=0.1,
+            burn_policies=(BurnRatePolicy(3.0, 8.0, 2.0),),
+        ))
+        latency = registry.histogram("latency_s")
+        rng = random.Random(3)
+        times, states = [], []
+
+        def walked_below(state):
+            __, zero, counts = state
+            return zero + sum(
+                count for index, count in counts.items()
+                if latency.bucket_upper(index) <= 0.1 * (1.0 + 1e-12))
+
+        def reference(window_s):
+            index = bisect.bisect_right(times, sim.now - window_s) - 1
+            then = states[max(index, 0)]
+            total = latency.count - then[0]
+            if total <= 0:
+                return 0.0
+            good = walked_below(latency.state()) - walked_below(then)
+            return max(0.0, 1.0 - good / total)
+
+        for __ in range(40):
+            sim.run(until=sim.now + 1.0)
+            for __ in range(rng.randint(0, 6)):
+                latency.observe(rng.choice((0.0, rng.expovariate(8.0))))
+            monitor.tick()
+            times.append(sim.now)
+            states.append(latency.state())
+            for window_s in (3.0, 8.0, 20.0):
+                assert monitor.error_ratio(slo, window_s) == reference(window_s)
+
+    def test_each_snapshot_is_walked_at_most_once(self, monkeypatch):
+        from taureau.obs import slo as slo_module
+
+        walks = {}
+        held = []
+        walk = slo_module._count_at_or_below_state
+
+        def counting_walk(histogram, state, threshold):
+            held.append(state)  # keeps ids unique for the whole test
+            key = (id(state), threshold)
+            walks[key] = walks.get(key, 0) + 1
+            return walk(histogram, state, threshold)
+
+        monkeypatch.setattr(slo_module, "_count_at_or_below_state",
+                            counting_walk)
+        sim, registry, monitor = make_monitor()
+        monitor.add_slo(SloObjective(
+            "fast", objective=0.9, window_s=10.0,
+            latency="app.latency_s", threshold_s=0.1,
+            burn_policies=(BurnRatePolicy(2.0, 5.0, 2.0),
+                           BurnRatePolicy(5.0, 10.0, 1.5)),
+        ))
+        latency = registry.histogram("latency_s")
+        for step in range(30):
+            sim.run(until=sim.now + 1.0)
+            latency.observe(0.01 if step % 3 else 2.0)
+            monitor.tick()
+            monitor.slo_status()
+        assert walks and max(walks.values()) == 1
+
     def test_alert_listener_callbacks(self):
         sim, registry, monitor = self.build()
         seen = []

@@ -286,3 +286,49 @@ class TestHistogramPercentileMemo:
         with pytest.raises(ValueError, match="outside"):
             hist.percentile(101.0)
         assert hist._memo == memo
+
+
+def walked_at_or_below(samples, threshold, growth=Histogram.DEFAULT_GROWTH):
+    """``count_at_or_below`` recomputed from a fresh histogram's buckets."""
+    fresh = Histogram("fresh", growth=growth)
+    fresh.extend(samples)
+    below = fresh.zero_count
+    for index, count in fresh.bucket_items():
+        if fresh.bucket_upper(index) <= threshold * (1.0 + 1e-12):
+            below += count
+    return below
+
+
+class TestHistogramAtOrBelowMemo:
+    """A repeated ``count_at_or_below`` is memoised on ``(threshold, count)``."""
+
+    def test_observe_invalidates(self):
+        rng = random.Random(7)
+        hist = Histogram("h")
+        samples = []
+        for __ in range(200):
+            value = rng.choice((0.0, rng.expovariate(4.0)))
+            hist.observe(value)
+            samples.append(value)
+            for threshold in (0.25, 0.05):
+                expected = walked_at_or_below(samples, threshold)
+                assert hist.count_at_or_below(threshold) == expected
+                assert hist.count_at_or_below(threshold) == expected
+
+    def test_merge_invalidates(self):
+        hist = Histogram("h")
+        hist.extend([0.01, 0.02, 3.0])
+        assert hist.count_at_or_below(0.1) == 2
+        other = Histogram("o")
+        other.extend([0.03, 5.0])
+        hist.merge(other)
+        assert hist.count_at_or_below(0.1) == 3
+        hist.merge(Histogram("empty"))
+        assert hist.count_at_or_below(0.1) == 3
+
+    def test_a_negative_threshold_stores_no_memo(self):
+        hist = Histogram("h")
+        hist.observe(0.0)
+        assert hist.count_at_or_below(-1.0) == 0
+        assert hist._below_memo is None
+        assert hist.count_at_or_below(0.0) == 1
