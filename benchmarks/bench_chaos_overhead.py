@@ -21,7 +21,8 @@ BaaS error window and Poisson sandbox crashes):
 
 Run directly (``python benchmarks/bench_chaos_overhead.py [--smoke]``);
 ``--smoke`` shrinks the invocation count and relaxes the profiled
-bound (fixed per-run costs weigh more on a short run).
+bound (fixed per-run costs weigh more on a short run).  Full runs write
+``benchmarks/BENCH_chaos_overhead.json``; smoke runs write nothing.
 """
 
 import argparse
@@ -178,19 +179,20 @@ def main(argv=None) -> int:
         ),
     )
 
-    out = pathlib.Path(__file__).parent / "BENCH_chaos_overhead.json"
-    out.write_text(json.dumps({
-        "invocations": invocations,
-        "failed_without_policy": without,
-        "failed_with_policy": with_policy,
-        "recovered_fraction": recovered,
-        "guard_share": share,
-        "plain_s": plain_s,
-        "guarded_s": guarded_s,
-        "wall_overhead": wall_overhead,
-        "recovery_bound": MIN_RECOVERY,
-        "overhead_bound": bound,
-    }, indent=2) + "\n")
+    if not args.smoke:
+        out = pathlib.Path(__file__).parent / "BENCH_chaos_overhead.json"
+        out.write_text(json.dumps({
+            "invocations": invocations,
+            "failed_without_policy": without,
+            "failed_with_policy": with_policy,
+            "recovered_fraction": recovered,
+            "guard_share": share,
+            "plain_s": plain_s,
+            "guarded_s": guarded_s,
+            "wall_overhead": wall_overhead,
+            "recovery_bound": MIN_RECOVERY,
+            "overhead_bound": bound,
+        }, indent=2) + "\n")
 
     assert recovered >= MIN_RECOVERY, (
         f"resilience recovered only {recovered:.1%} of chaos-injected "

@@ -26,8 +26,9 @@ Gates (asserted):
   and in mean end-to-end latency — over an unjournaled run.
 
 Run directly (``python benchmarks/bench_durable_recovery.py [--smoke]``);
-``--smoke`` shrinks the invocation count for the CI gate.  Results land
-in ``benchmarks/BENCH_durable_recovery.json``.
+``--smoke`` shrinks the invocation count for the CI gate.  Full runs
+write ``benchmarks/BENCH_durable_recovery.json``; smoke runs write
+nothing.
 """
 
 import argparse
@@ -159,22 +160,23 @@ def main(argv=None) -> int:
         ),
     )
 
-    out = pathlib.Path(__file__).parent / "BENCH_durable_recovery.json"
-    out.write_text(json.dumps({
-        "invocations": invocations,
-        "injected_failures": injected,
-        "rerun_failed": rerun_failed,
-        "rerun_duplicate_effects": rerun_duplicates,
-        "rerun_double_billed_slices": rerun_double_billed,
-        "durable_failed": durable_failed,
-        "durable_duplicate_effects": durable_duplicates,
-        "durable_double_billed_slices": durable_double_billed,
-        "durable_recoveries": durable_summary["recoveries"],
-        "durable_effects_replayed": durable_summary["effects_replayed"],
-        "no_fault_cost_ratio": cost_ratio,
-        "no_fault_latency_ratio": latency_ratio,
-        "overhead_bound": MAX_NO_FAULT_OVERHEAD,
-    }, indent=2) + "\n")
+    if not args.smoke:
+        out = pathlib.Path(__file__).parent / "BENCH_durable_recovery.json"
+        out.write_text(json.dumps({
+            "invocations": invocations,
+            "injected_failures": injected,
+            "rerun_failed": rerun_failed,
+            "rerun_duplicate_effects": rerun_duplicates,
+            "rerun_double_billed_slices": rerun_double_billed,
+            "durable_failed": durable_failed,
+            "durable_duplicate_effects": durable_duplicates,
+            "durable_double_billed_slices": durable_double_billed,
+            "durable_recoveries": durable_summary["recoveries"],
+            "durable_effects_replayed": durable_summary["effects_replayed"],
+            "no_fault_cost_ratio": cost_ratio,
+            "no_fault_latency_ratio": latency_ratio,
+            "overhead_bound": MAX_NO_FAULT_OVERHEAD,
+        }, indent=2) + "\n")
 
     assert durable_failed == 0, (
         f"durable execution left {durable_failed} of {injected} injected "

@@ -14,8 +14,8 @@ into memory so cold and warm runs see identical bytes and the timings
 compare pure analysis work, not disk behaviour.
 
 Run directly (``python benchmarks/bench_lint_scale.py [--smoke]``);
-``--smoke`` trims repeats for CI.  Results land in
-``benchmarks/BENCH_lint_scale.json``.
+``--smoke`` trims repeats for CI.  Full runs write
+``benchmarks/BENCH_lint_scale.json``; smoke runs write nothing.
 """
 
 import argparse
@@ -131,24 +131,25 @@ def main() -> int:
         f"(bar: {MIN_SPEEDUP}x)"
     )
 
-    out = pathlib.Path(__file__).parent / "BENCH_lint_scale.json"
-    out.write_text(
-        json.dumps(
-            {
-                "experiment": "E42",
-                "modules": len(sources),
-                "edited": leaf,
-                "cold_s": cold_s,
-                "warm_s": warm_s,
-                "speedup": speedup,
-                "min_speedup": MIN_SPEEDUP,
-            },
-            indent=2,
-            sort_keys=True,
+    if not args.smoke:
+        out = pathlib.Path(__file__).parent / "BENCH_lint_scale.json"
+        out.write_text(
+            json.dumps(
+                {
+                    "experiment": "E42",
+                    "modules": len(sources),
+                    "edited": leaf,
+                    "cold_s": cold_s,
+                    "warm_s": warm_s,
+                    "speedup": speedup,
+                    "min_speedup": MIN_SPEEDUP,
+                },
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n"
         )
-        + "\n"
-    )
-    print(f"wrote {out}")
+        print(f"wrote {out}")
     return 0
 
 

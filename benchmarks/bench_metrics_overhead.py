@@ -13,7 +13,8 @@ exact count/sum/min/max side-tracking.  This bench measures, at
 - quantile accuracy: histogram p50/p99 vs. the exact sorted-sample
   percentiles, asserted within one bucket's relative error —
 
-and writes the measurements to ``BENCH_metrics_overhead.json``.
+and writes the measurements to ``BENCH_metrics_overhead.json`` (full
+runs only).
 
 Run directly (``python benchmarks/bench_metrics_overhead.py [--smoke]``);
 ``--smoke`` caps the stream at 10^5 observations for CI.
@@ -142,9 +143,10 @@ def main(argv=None) -> int:
         f"histogram memory grew with samples: {first} -> {last}"
     )
 
-    out = pathlib.Path(__file__).parent / "BENCH_metrics_overhead.json"
-    out.write_text(json.dumps(rows, indent=2) + "\n")
-    print(f"\nwrote {out.name}")
+    if not args.smoke:
+        out = pathlib.Path(__file__).parent / "BENCH_metrics_overhead.json"
+        out.write_text(json.dumps(rows, indent=2) + "\n")
+        print(f"\nwrote {out.name}")
     return 0
 
 

@@ -4,8 +4,8 @@
 peek after every pop (tie-break detection), one content fingerprint per
 sandbox boundary crossing (shared-state detection), and the watchlist
 bookkeeping.  The acceptance bar from the determinism contract is that
-the sanitizer stays within **10%** of the plain run's cost on the
-metrics-smoke-style monitored workload.
+the sanitizer stays within **10%** of the plain run's cost on a
+monitored workload (the ``metrics`` scenario of ``tests/test_golden.py``).
 
 Two measurements, with different jobs:
 
@@ -19,7 +19,8 @@ Two measurements, with different jobs:
   the true overhead (conservative in the right direction).
 - *Report* (printed): interleaved wall-clock medians of ``REPEATS``
   plain/sanitized pairs with the garbage collector paused, for the
-  human-readable table and ``BENCH_sanitizer_overhead.json``.
+  human-readable table and ``BENCH_sanitizer_overhead.json`` (full
+  runs only).
 
 Run directly (``python benchmarks/bench_sanitizer_overhead.py [--smoke]``);
 ``--smoke`` shrinks the invocation count for CI.
@@ -65,8 +66,8 @@ def run_workload(invocations: int, sanitize: bool) -> float:
         ctx.charge(0.05)
         return [event["index"], event["index"] * 2]
 
-    # The acceptance bound is against the *monitored* workload of
-    # scripts/metrics_smoke.py — recording rules evaluate continuously,
+    # The acceptance bound is against the *monitored* workload of the
+    # golden ``metrics`` scenario — recording rules evaluate continuously,
     # exactly the baseline the sanitizer's overhead is specified against.
     app.with_monitoring(rules=[
         RecordingRule("invocation_rate", "rate", "faas.invocations",
@@ -157,15 +158,16 @@ def main(argv=None) -> int:
         ),
     )
 
-    out = pathlib.Path(__file__).parent / "BENCH_sanitizer_overhead.json"
-    out.write_text(json.dumps({
-        "invocations": invocations,
-        "plain_s": plain_s,
-        "sanitized_s": sanitized_s,
-        "wall_overhead": wall_overhead,
-        "profiled_share": share,
-        "bound": MAX_OVERHEAD,
-    }, indent=2) + "\n")
+    if not args.smoke:
+        out = pathlib.Path(__file__).parent / "BENCH_sanitizer_overhead.json"
+        out.write_text(json.dumps({
+            "invocations": invocations,
+            "plain_s": plain_s,
+            "sanitized_s": sanitized_s,
+            "wall_overhead": wall_overhead,
+            "profiled_share": share,
+            "bound": MAX_OVERHEAD,
+        }, indent=2) + "\n")
 
     assert share < MAX_OVERHEAD, (
         f"sanitizer profiled share {share:.1%} exceeds the "

@@ -2,14 +2,13 @@
 
 The seed kernel paid four Python-level costs per event: a ``heappush``,
 a ``step()`` call, a heap pop and an attribute dance.  This bench
-measures events/sec through the kernel for four scheduling paths —
+measures events/sec through the kernel for three scheduling paths —
 
 - ``seed-kernel``: one ``schedule_at`` per event, drained step-by-step
   (the growth seed's run loop);
 - ``scalar-run``: one ``schedule_at`` per event, drained by today's
   ``run()`` (tight loop + same-timestamp burst drain);
-- ``bulk-heap``: one ``schedule_many`` sorted run on the heap backend;
-- ``bulk-wheel``: the same bulk post on the calendar-queue backend —
+- ``bulk-heap``: one ``schedule_many`` sorted run —
 
 then drives the headline scenario: a million-tenant, ~10^7-invocation
 diurnal trace generated by ``taureau.workload`` and replayed through
@@ -105,9 +104,9 @@ def scalar_run_drain(times):
     return _rate(len(times), elapsed)
 
 
-def bulk_drain(times, backend):
-    """One schedule_many sorted run, drained by run() on ``backend``."""
-    sim = Simulation(queue=backend)
+def bulk_drain(times):
+    """One schedule_many sorted run, drained by run()."""
+    sim = Simulation()
     counter = [0]
 
     def bump():
@@ -129,15 +128,13 @@ def kernel_sweep(sizes):
         sample = times[: min(n, SEED_SAMPLE_CAP)]
         seed_rate = seed_kernel_drain(sample)
         scalar_rate = scalar_run_drain(sample)
-        heap_rate = bulk_drain(times, "heap")
-        wheel_rate = bulk_drain(times, "wheel")
+        heap_rate = bulk_drain(times)
         rows.append(
             (
                 f"1e{len(str(n)) - 1}",
                 round(seed_rate),
                 round(scalar_rate),
                 round(heap_rate),
-                round(wheel_rate),
                 round(heap_rate / seed_rate, 1),
             )
         )
@@ -175,17 +172,15 @@ def equivalence_check():
 
     oracle = drive(Simulation(), bulk=False)
     assert drive(Simulation(), bulk=True) == oracle
-    assert drive(Simulation(queue="wheel"), bulk=True) == oracle
-    assert drive(Simulation(queue="wheel", wheel_bucket_s=0.25), bulk=True) == oracle
 
 
-def million_tenant_scenario(spec, backend="wheel"):
+def million_tenant_scenario(spec):
     """Generate and replay the headline trace; returns a summary row."""
     started = time.perf_counter()
     trace = generate_trace(spec, seed=39)
     generated = time.perf_counter() - started
 
-    sim = Simulation(queue=backend)
+    sim = Simulation()
     counter = [0]
 
     def fire(_index):
@@ -206,7 +201,6 @@ def million_tenant_scenario(spec, backend="wheel"):
         "replay_s": round(replayed, 2),
         "total_s": round(generated + replayed, 2),
         "replay_events_per_s": round(_rate(len(trace), replayed)),
-        "backend": backend,
     }
 
 
@@ -222,8 +216,7 @@ def report(kernel_rows, scenario):
     print_table(
         "E39: kernel scheduling paths, Poisson arrivals (events/sec; "
         f"per-event paths sampled at <= {SEED_SAMPLE_CAP:.0e} events)",
-        ["events", "seed_kernel", "scalar_run", "bulk_heap", "bulk_wheel",
-         "speedup_vs_seed"],
+        ["events", "seed_kernel", "scalar_run", "bulk_heap", "speedup_vs_seed"],
         kernel_rows,
         note=f"acceptance: bulk_heap >= {REQUIRED_SPEEDUP:.0f}x the seed "
         "kernel; all paths pop the identical event sequence",
@@ -248,8 +241,7 @@ def write_trajectory(kernel_rows, scenario, path):
                 "seed_kernel": row[1],
                 "scalar_run": row[2],
                 "bulk_heap": row[3],
-                "bulk_wheel": row[4],
-                "speedup_vs_seed": row[5],
+                "speedup_vs_seed": row[4],
             }
             for row in kernel_rows
         ],
@@ -278,7 +270,7 @@ def main(argv=None):
     # informational — it breathes with allocator/GC pressure.
     by_size = {row[0]: row for row in kernel_rows}
     gate = by_size.get("1e6", kernel_rows[-1])
-    speedup = gate[5]
+    speedup = gate[4]
     assert speedup >= REQUIRED_SPEEDUP, (
         f"bulk scheduling is only {speedup}x the seed kernel"
     )
@@ -295,7 +287,7 @@ def test_e39_kernel_speedup(benchmark):
     )
     report(kernel_rows, scenario)
     by_size = {row[0]: row for row in kernel_rows}
-    assert by_size["1e6"][5] >= REQUIRED_SPEEDUP
+    assert by_size["1e6"][4] >= REQUIRED_SPEEDUP
     # The headline claim: a million tenants, ~1e7 invocations, minutes.
     assert scenario["arrivals"] > 5_000_000
     assert scenario["total_s"] < 600.0

@@ -120,7 +120,8 @@ def test_e12_sketch_family(benchmark):
         "per sketch: relative/fp-rate/rank/top-10 miss)",
         ["sketch", "config", "memory_bytes", "error"],
         rows,
-        note="every family member improves monotonically with memory",
+        note="each family member's largest configuration errs no more "
+        "than its smallest",
     )
     by_kind: dict = {}
     for kind, __, memory, error in rows:

@@ -78,11 +78,6 @@ class Platform:
         (off by default): records ambiguous same-timestamp tie-breaks
         and cross-sandbox shared-state mutations as findings on
         :attr:`sanitizer`, and surfaces them in :meth:`dashboard`.
-    queue:
-        Pending-event backend for the shared simulation: ``"heap"``
-        (default, the determinism oracle) or ``"wheel"`` (calendar
-        queue, faster under heavy bulk load).  Both pop the identical
-        event sequence — ``verify_determinism`` holds across backends.
     """
 
     def __init__(
@@ -95,7 +90,6 @@ class Platform:
         services: typing.Optional[dict] = None,
         tracing: bool = True,
         sanitize: bool = False,
-        queue: str = "heap",
     ):
         #: Construction arguments, kept verbatim so verify_determinism
         #: can build byte-equivalent sibling platforms.
@@ -108,9 +102,8 @@ class Platform:
             "services": dict(services) if services else None,
             "tracing": tracing,
             "sanitize": sanitize,
-            "queue": queue,
         }
-        self.sim = Simulation(seed=seed, sanitize=sanitize, queue=queue)
+        self.sim = Simulation(seed=seed, sanitize=sanitize)
         self.tracer: typing.Optional[Tracer] = None
         if tracing:
             self.tracer = Tracer(self.sim, TraceStore())
@@ -686,9 +679,7 @@ class Platform:
         policy knobs (calibration and scheduler by class name — their
         instances carry no stable identity).  Deliberately excluded:
         the seed (it labels the *run*, not the configuration) and the
-        behaviour-neutral host knobs ``queue`` / ``tracing`` /
-        ``sanitize`` — the heap and wheel backends pop identical event
-        sequences, so they must share a digest.
+        behaviour-neutral host knobs ``tracing`` / ``sanitize``.
         """
         import hashlib
         import json

@@ -69,37 +69,12 @@ class Simulation:
         runtime determinism hazards (ambiguous same-timestamp tie-breaks,
         cross-sandbox shared-state mutation).  Off by default — the hot
         path then pays one attribute check per step.
-    queue:
-        Event-queue backend: ``"heap"`` (default, the determinism oracle)
-        or ``"wheel"`` — a :class:`~taureau.sim.queues.CalendarQueue`
-        bucketing events by time.  Backends pop the identical sequence
-        (``(when, seq)`` is a total order), so same-seed runs replay
-        digest-identically on either; the E39 smoke gate enforces it.
-    wheel_bucket_s:
-        Bucket width of the calendar queue (``queue="wheel"`` only).
-        A speed knob, never a semantics knob.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        sanitize: bool = False,
-        queue: str = "heap",
-        wheel_bucket_s: float = 1.0,
-    ):
+    def __init__(self, seed: int = 0, sanitize: bool = False):
         self.now: float = 0.0
         self.rng = RngRegistry(seed)
-        if queue == "heap":
-            self._queue = None
-            self._heap: list = []
-        elif queue == "wheel":
-            from taureau.sim.queues import CalendarQueue
-
-            self._queue = CalendarQueue(bucket_width_s=wheel_bucket_s)
-            self._heap = []  # unused; kept so heap-mode introspection is safe
-        else:
-            raise ValueError(f"unknown queue backend {queue!r} (heap or wheel)")
-        self.queue_backend = queue
+        self._heap: list = []
         # Pin one bound-method object: plain attribute access builds a
         # fresh bound method each time, which would defeat the
         # ``callback is self._drain_run`` identity dispatch in step()
@@ -138,11 +113,7 @@ class Simulation:
                 f"cannot schedule at t={when} before current time t={self.now}"
             )
         self._seq += 1
-        entry = (when, self._seq, callback, args)
-        if self._queue is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._queue.push(entry)
+        heapq.heappush(self._heap, (when, self._seq, callback, args))
 
     def schedule_after(self, delay: float, callback, *args) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
@@ -223,11 +194,10 @@ class Simulation:
 
     def _post_run(self, run: _SortedRun) -> None:
         """(Re)post a run's sentinel entry keyed by its head element."""
-        entry = (run.times[run.pos], run.seq0 + run.pos, self._drain_run, (run,))
-        if self._queue is None:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._queue.push(entry)
+        heapq.heappush(
+            self._heap,
+            (run.times[run.pos], run.seq0 + run.pos, self._drain_run, (run,)),
+        )
 
     def _drain_run(self, run: _SortedRun, limit: typing.Optional[int] = None) -> None:
         """Execute run entries until something else must go first.
@@ -246,24 +216,15 @@ class Simulation:
         n = len(times)
         deadline = self._deadline
         executed = 0
-        heap = self._heap if self._queue is None else None
+        heap = self._heap
         try:
             while pos < n:
                 when = times[pos]
                 if deadline is not None and when > deadline:
                     break
-                if heap is not None:
-                    if heap:
-                        head = heap[0]
-                        if head[0] < when or (
-                            head[0] == when and head[1] < seq0 + pos
-                        ):
-                            break
-                else:
-                    head = self._queue.peek()
-                    if head is not None and (
-                        head[0] < when or (head[0] == when and head[1] < seq0 + pos)
-                    ):
+                if heap:
+                    head = heap[0]
+                    if head[0] < when or (head[0] == when and head[1] < seq0 + pos):
                         break
                 # Advance the cursor first: a raising callback consumes
                 # its entry, exactly as a popped heap entry would be.
@@ -325,9 +286,7 @@ class Simulation:
 
     def has_work(self) -> bool:
         """Whether anything at all is still scheduled."""
-        if self._queue is None:
-            return bool(self._heap)
-        return bool(self._queue)
+        return bool(self._heap)
 
     def daemon_scheduled(self) -> None:
         """Count one pending housekeeping tick (see :meth:`has_foreground_work`)."""
@@ -348,35 +307,20 @@ class Simulation:
         Bulk sorted-run entries count as one pending item, which is
         enough: any such entry is foreground work by definition.
         """
-        pending = len(self._heap) if self._queue is None else len(self._queue)
-        return pending > self._daemon_pending
+        return len(self._heap) > self._daemon_pending
 
     def step(self) -> None:
         """Pop and execute the single next scheduled item."""
-        if self._queue is None:
-            if not self._heap:
-                raise SimulationError("step() with no scheduled work")
-            when, _tie, callback, args = heapq.heappop(self._heap)
-            self.now = when
-            if self.sanitizer is not None and self._heap and self._heap[0][0] == when:
-                self.sanitizer.note_collision(
-                    when,
-                    self._describe_entry(callback, args),
-                    self._describe_entry(self._heap[0][2], self._heap[0][3]),
-                )
-        else:
-            if not self._queue:
-                raise SimulationError("step() with no scheduled work")
-            when, _tie, callback, args = self._queue.pop()
-            self.now = when
-            if self.sanitizer is not None:
-                head = self._queue.peek()
-                if head is not None and head[0] == when:
-                    self.sanitizer.note_collision(
-                        when,
-                        self._describe_entry(callback, args),
-                        self._describe_entry(head[2], head[3]),
-                    )
+        if not self._heap:
+            raise SimulationError("step() with no scheduled work")
+        when, _tie, callback, args = heapq.heappop(self._heap)
+        self.now = when
+        if self.sanitizer is not None and self._heap and self._heap[0][0] == when:
+            self.sanitizer.note_collision(
+                when,
+                self._describe_entry(callback, args),
+                self._describe_entry(self._heap[0][2], self._heap[0][3]),
+            )
         if callback is self._drain_run:
             # Honor the single-entry contract for bulk runs.
             self._drain_run(args[0], limit=1)
@@ -398,10 +342,7 @@ class Simulation:
 
     def peek(self) -> float:
         """Time of the next scheduled item, or ``inf`` when idle."""
-        if self._queue is None:
-            return self._heap[0][0] if self._heap else float("inf")
-        head = self._queue.peek()
-        return head[0] if head is not None else float("inf")
+        return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: typing.Optional[object] = None) -> object:
         """Advance the simulation.
@@ -452,16 +393,6 @@ class Simulation:
                 self.step()
             return
         drain_run = self._drain_run
-        if self._queue is not None:
-            queue = self._queue
-            while queue:
-                when, _tie, callback, args = queue.pop()
-                self.now = when
-                if callback is drain_run:
-                    drain_run(args[0])
-                else:
-                    callback(*args)
-            return
         heap = self._heap
         pop = heapq.heappop
         while heap:
@@ -485,19 +416,6 @@ class Simulation:
                 self.step()
             return
         drain_run = self._drain_run
-        if self._queue is not None:
-            queue = self._queue
-            while queue:
-                head = queue.peek()
-                if head[0] > deadline:
-                    break
-                when, _tie, callback, args = queue.pop()
-                self.now = when
-                if callback is drain_run:
-                    drain_run(args[0])
-                else:
-                    callback(*args)
-            return
         heap = self._heap
         pop = heapq.heappop
         while heap and heap[0][0] <= deadline:

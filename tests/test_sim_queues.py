@@ -1,10 +1,6 @@
-"""Bulk scheduling and the calendar-queue backend.
-
-Two contracts under test: ``schedule_many`` must execute exactly like N
+"""Bulk scheduling: ``schedule_many`` must execute exactly like N
 individual ``schedule_at`` calls (same order, same clock, same FIFO
-tie-breaks), and the ``queue="wheel"`` backend must pop the identical
-event sequence as the heap oracle — including under adversarial
-interleavings of bulk runs, same-timestamp cascades and mid-run pauses.
+tie-breaks), including across ``run(until=)`` pauses and ``step()``.
 """
 
 import random
@@ -12,78 +8,6 @@ import random
 import pytest
 
 from taureau.sim import Simulation, SimulationError
-from taureau.sim.queues import CalendarQueue
-
-
-class TestCalendarQueue:
-    def test_pops_in_total_order(self):
-        rng = random.Random(0)
-        queue = CalendarQueue(bucket_width_s=1.0)
-        entries = [
-            (rng.uniform(0, 50), seq, None, ()) for seq in range(500)
-        ]
-        for entry in entries:
-            queue.push(entry)
-        assert len(queue) == 500
-        popped = [queue.pop() for _ in range(500)]
-        assert popped == sorted(entries)
-        assert not queue
-
-    def test_same_time_entries_pop_in_seq_order(self):
-        queue = CalendarQueue()
-        for seq in (3, 1, 2):
-            queue.push((7.0, seq, None, ()))
-        assert [queue.pop()[1] for _ in range(3)] == [1, 2, 3]
-
-    def test_push_into_current_bucket_after_sort(self):
-        # A callback scheduling a follow-up into the already-sorted
-        # current bucket must still pop in (when, seq) order.
-        queue = CalendarQueue(bucket_width_s=10.0)
-        queue.push((1.0, 1, None, ()))
-        queue.push((5.0, 2, None, ()))
-        assert queue.pop()[0] == 1.0  # sorts the [0, 10) bucket
-        queue.push((2.0, 3, None, ()))  # lands in the current range
-        queue.push((5.0, 4, None, ()))  # ties with the snapshot entry
-        assert [queue.pop()[:2] for _ in range(3)] == [
-            (2.0, 3),
-            (5.0, 2),
-            (5.0, 4),
-        ]
-
-    def test_peek_matches_pop(self):
-        rng = random.Random(1)
-        queue = CalendarQueue(bucket_width_s=0.5)
-        for seq in range(200):
-            queue.push((rng.uniform(0, 20), seq, None, ()))
-        while queue:
-            assert queue.peek() == queue.pop()
-        assert queue.peek() is None
-
-    def test_pop_empty_raises(self):
-        queue = CalendarQueue()
-        with pytest.raises(IndexError):
-            queue.pop()
-
-    def test_refill_after_full_drain(self):
-        queue = CalendarQueue(bucket_width_s=2.0)
-        queue.push((1.0, 1, None, ()))
-        assert queue.pop()[1] == 1
-        queue.push((3.0, 2, None, ()))
-        queue.push((0.5, 3, None, ()))  # earlier bucket than the last pop's
-        assert [queue.pop()[1] for _ in range(2)] == [3, 2]
-
-    def test_extend_equals_pushes(self):
-        entries = [(float(i % 7), i, None, ()) for i in range(50)]
-        one = CalendarQueue()
-        one.extend(entries)
-        other = CalendarQueue()
-        for entry in entries:
-            other.push(entry)
-        assert [one.pop() for _ in range(50)] == [other.pop() for _ in range(50)]
-
-    def test_width_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_width_s=0.0)
 
 
 class TestScheduleMany:
@@ -199,103 +123,3 @@ class TestScheduleMany:
         assert not sim.has_work()
         assert sim.now == 3.0
 
-
-def _exercise(sim, seen):
-    """A gnarly scenario: bulk runs, ties, cascades, processes."""
-    sim.schedule_many(
-        [0.5, 1.0, 1.0, 2.5, 4.0], lambda tag: seen.append(("bulk", tag, sim.now)),
-        args=range(5),
-    )
-    sim.schedule_at(1.0, lambda: seen.append(("at", sim.now)))
-
-    def cascade():
-        seen.append(("cascade", sim.now))
-        if sim.now < 3.0:
-            sim.schedule_after(0.75, cascade)
-
-    sim.schedule_at(0.25, cascade)
-
-    def proc():
-        yield sim.timeout(1.25)
-        seen.append(("proc", sim.now))
-        sim.schedule_many(
-            [sim.now, sim.now + 0.1], lambda tag: seen.append(("late", tag)),
-            args="xy",
-        )
-
-    sim.process(proc())
-
-
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("width", [0.1, 1.0, 60.0])
-    def test_wheel_replays_heap_exactly(self, width):
-        heap_sim, heap_seen = Simulation(seed=3), []
-        _exercise(heap_sim, heap_seen)
-        heap_sim.run()
-
-        wheel_sim, wheel_seen = Simulation(seed=3, queue="wheel",
-                                           wheel_bucket_s=width), []
-        _exercise(wheel_sim, wheel_seen)
-        wheel_sim.run()
-
-        assert wheel_seen == heap_seen
-        assert wheel_sim.now == heap_sim.now
-
-    def test_wheel_run_until_and_resume(self):
-        heap_sim, heap_seen = Simulation(seed=4), []
-        wheel_sim, wheel_seen = Simulation(seed=4, queue="wheel"), []
-        for sim, seen in ((heap_sim, heap_seen), (wheel_sim, wheel_seen)):
-            _exercise(sim, seen)
-            sim.run(until=1.5)
-        assert wheel_seen == heap_seen
-        assert wheel_sim.now == heap_sim.now == 1.5
-        heap_sim.run()
-        wheel_sim.run()
-        assert wheel_seen == heap_seen
-
-    def test_wheel_single_steps(self):
-        heap_sim, heap_seen = Simulation(seed=5), []
-        wheel_sim, wheel_seen = Simulation(seed=5, queue="wheel"), []
-        for sim, seen in ((heap_sim, heap_seen), (wheel_sim, wheel_seen)):
-            _exercise(sim, seen)
-            while sim.has_work():
-                assert sim.peek() < float("inf")
-                sim.step()
-        assert wheel_seen == heap_seen
-
-    def test_wheel_random_fuzz_matches_heap(self):
-        rng = random.Random(6)
-        batches = [
-            [rng.uniform(0, 100) for _ in range(rng.randrange(1, 40))]
-            for _ in range(20)
-        ]
-        singles = [rng.uniform(0, 100) for _ in range(50)]
-
-        def drive(sim):
-            seen = []
-            for batch_index, batch in enumerate(batches):
-                sim.schedule_many(
-                    batch,
-                    lambda tag, b=batch_index: seen.append((b, tag, sim.now)),
-                    args=range(len(batch)),
-                )
-            for single_index, when in enumerate(singles):
-                sim.schedule_at(
-                    when, lambda s=single_index: seen.append(("s", s, sim.now))
-                )
-            sim.run()
-            return seen
-
-        assert drive(Simulation(queue="wheel", wheel_bucket_s=7.3)) == drive(
-            Simulation()
-        )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Simulation(queue="splay")
-
-    def test_wheel_deadlock_detection_still_works(self):
-        sim = Simulation(queue="wheel")
-        never = sim.event()
-        with pytest.raises(SimulationError, match="deadlock"):
-            sim.run(until=never)

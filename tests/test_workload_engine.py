@@ -4,8 +4,6 @@ import numpy
 import pytest
 
 import taureau
-from taureau.chaos import FaultPlan
-from taureau.lint.sanitizer import stable_digest
 from taureau.sim import Simulation
 from taureau.workload import Trace, WorkloadSpec, generate_trace, replay_trace
 
@@ -280,29 +278,3 @@ class TestPlatformWithWorkload:
             platform.with_workload(small_spec(mean_rps=5.0), function="h")
 
         assert app.verify_determinism(scenario).ok
-
-
-class TestBackendDigestEquivalence:
-    """The ISSUE's cross-backend oracle: one mixed chaos-plus-workload
-    scenario must replay digest-identically on heap and wheel kernels."""
-
-    @staticmethod
-    def _run(backend):
-        app = taureau.Platform(seed=31, machines=2, queue=backend)
-
-        @app.function("handler")
-        def handler(event, ctx):
-            ctx.charge(0.001)
-            return event["tenant"]
-
-        app.with_chaos(
-            FaultPlan()
-            .crash_machine(rate_hz=0.05, start_s=0.0, end_s=60.0)
-            .crash_sandbox(rate_hz=0.1, start_s=0.0, end_s=60.0)
-        )
-        app.with_workload(small_spec(mean_rps=10.0), function="handler")
-        app.run(until=180.0)
-        return stable_digest(app._determinism_state())
-
-    def test_heap_and_wheel_digests_match(self):
-        assert self._run("heap") == self._run("wheel")
