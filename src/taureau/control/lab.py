@@ -6,8 +6,8 @@ resilience policies and SLO monitoring) — once per candidate policy
 stack plus a policy-free static baseline, on a fresh
 :class:`~taureau.Platform` each time.  Because every platform is a pure
 function of ``(seed, scenario, policies)``, the resulting comparison
-table is byte-identical across same-seed runs — the property
-``scripts/control_smoke.py`` gates on.
+table is byte-identical across same-seed runs — the property the
+``control`` scenario of ``tests/test_golden.py`` pins.
 
 Candidates are given as *factories* (zero-argument callables returning a
 policy or an iterable of policies), never shared instances: policies
@@ -99,7 +99,7 @@ class PolicyLab:
         Control-loop tick period for candidate runs.
     platform_kwargs:
         Extra :class:`~taureau.Platform` constructor arguments (cluster
-        size, config, queue backend, ...).
+        size, config, ...).
     """
 
     BASELINE = "static"

@@ -9,8 +9,8 @@ value in integer microseconds of *self* time), so any off-the-shelf
 flamegraph renderer consumes the simulator's profile directly.
 
 All outputs are deterministically ordered: same-seed runs produce
-byte-identical profiles, which is what lets ``scripts/metrics_smoke.py``
-diff them across runs.
+byte-identical profiles, which is what lets ``tests/test_golden.py``
+pin them.
 """
 
 from __future__ import annotations

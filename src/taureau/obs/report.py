@@ -20,8 +20,9 @@ block and a fixed vanilla-JS payload renders it client-side:
 
 Byte-stability contract: the page is ``TEMPLATE.replace(marker, json)``
 where the JSON is the artifact's canonical encoding — so two same-seed
-runs render byte-identical HTML.  ``scripts/report_smoke.py`` gates
-both properties (stability and self-containedness) in CI.
+runs render byte-identical HTML.  The ``report`` scenario of
+``tests/test_golden.py`` checks both properties (stability and
+self-containedness).
 """
 
 from __future__ import annotations

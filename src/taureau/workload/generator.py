@@ -89,8 +89,8 @@ def generate_trace(spec: WorkloadSpec, seed: int = 0) -> Trace:
     """Generate the :class:`~taureau.workload.Trace` a spec describes.
 
     Deterministic in ``(spec, seed)``: the same pair always yields the
-    byte-identical trace (the E39 smoke gate holds this, including
-    through a save/load round trip).
+    byte-identical trace (``tests/test_workload_engine.py`` holds this,
+    including through a save/load round trip).
     """
     if spec.functions_per_tenant > numpy.iinfo(numpy.int16).max:
         raise ValueError("functions_per_tenant exceeds the int16 trace column")

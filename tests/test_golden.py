@@ -14,12 +14,16 @@ file with::
 
 and names each moved key in its description.
 
-The scenarios in :data:`RUN_TWICE` also run twice in one process, so a
-module-global leak between runs fails as "nondeterministic" rather than
-as a moved pin.  Every other scenario runs once: matching a pin written
-by another process already checks cross-process determinism.
+Every scenario runs in a process forked from one that has imported this
+module and run nothing else, so what ran earlier in the test process
+cannot move a pin.  The scenarios in :data:`RUN_TWICE` run twice in
+that process, so a module-global leak between runs fails as
+"nondeterministic" rather than as a moved pin.  Every other scenario
+runs once: matching a pin written by another process already checks
+cross-process determinism.
 """
 
+import concurrent.futures
 import contextlib
 import difflib
 import functools
@@ -27,6 +31,7 @@ import hashlib
 import importlib
 import io
 import json
+import multiprocessing
 import pathlib
 import runpy
 import sys
@@ -418,10 +423,14 @@ def report():
                  'slo_error_ratio{slo="fast"}'):
         assert lane in series, lane
     assert data["events"]["faults"] and data["events"]["actions"]
+    html = render_report(artifact)
+    for marker in ("http:", "https:", "//cdn", "<script src", "<link",
+                   "@import", "url("):
+        assert marker not in html, f"external reference {marker!r} in report"
     return {
         "recorder_ticks": str(app.recorder.ticks),
         "artifact": digest(artifact.to_json()),
-        "html": digest(render_report(artifact)),
+        "html": digest(html),
     }
 
 
@@ -541,19 +550,55 @@ def bench(module_name):
 # The one case
 # ----------------------------------------------------------------------
 
-SCENARIOS = {
+#: Run twice in one process: a leak between runs fails as nondeterminism.
+RUN_TWICE = {
     "chaos": chaos, "durable": durable, "trace": trace, "metrics": metrics,
     "sanitizer": sanitizer, "workload": workload, "control": control,
     "report": report,
+}
+SCENARIOS = {
+    **RUN_TWICE,
     **{f"perfbench.{name}.{seed}": functools.partial(perfbench, name, seed)
        for name in PERFBENCH_SCALES for seed in PERFBENCH_SEEDS},
     **{f"example.{path.stem}": functools.partial(example, path)
        for path in EXAMPLES},
     **{f"experiments.{name}": functools.partial(bench, name) for name in BENCHES},
 }
-#: Run twice in one process: a leak between runs fails as nondeterminism.
-RUN_TWICE = {"chaos", "durable", "trace", "metrics", "sanitizer", "workload",
-             "control", "report"}
+
+
+def run(name) -> dict:
+    """Scenario ``name``'s outputs; a :data:`RUN_TWICE` scenario must
+    give the same outputs when it runs again."""
+    outputs = SCENARIOS[name]()
+    if name in RUN_TWICE:
+        again = SCENARIOS[name]()
+        differ = sorted(key for key in outputs.keys() | again.keys()
+                        if outputs.get(key) != again.get(key))
+        assert not differ, (
+            f"{name} is nondeterministic: two runs in one process differ "
+            f"at {differ}"
+        )
+    return outputs
+
+
+def forked():
+    """An executor that runs each task in a new process, forked from one
+    that has imported this module and the benches and run nothing else.
+    Library ids drawn from process-wide counters (a federated job's
+    sampling stream is named after one) then start where they start in
+    a lone run of the scenario, whatever ran before in this process.
+    A forkserver rather than spawn: a spawned worker would import the
+    library again for every scenario, about 0.35 s each."""
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__, *BENCHES])
+    return concurrent.futures.ProcessPoolExecutor(
+        1, mp_context=context, max_tasks_per_child=1)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with forked() as executor:
+        yield executor
 
 
 def pinned(name, outputs) -> dict:
@@ -567,16 +612,8 @@ def pinned(name, outputs) -> dict:
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_behaviour_matches_pin(name):
-    outputs = SCENARIOS[name]()
-    if name in RUN_TWICE:
-        again = SCENARIOS[name]()
-        differ = sorted(key for key in outputs.keys() | again.keys()
-                        if outputs.get(key) != again.get(key))
-        assert not differ, (
-            f"{name} is nondeterministic: two runs in one process differ "
-            f"at {differ}"
-        )
+def test_behaviour_matches_pin(name, pool):
+    outputs = pool.submit(run, name).result()
     pins = pinned(name, outputs)
     problems = []
     for key in sorted(outputs.keys() | pins.keys()):
@@ -593,8 +630,9 @@ def test_behaviour_matches_pin(name):
 
 def write_pins():
     """Rewrite ``behaviour.json`` from a fresh run of every scenario."""
-    pins = {name: scenario() for name, scenario in SCENARIOS.items()
-            if not name.startswith("experiments.")}
+    with forked() as pool:
+        pins = {name: pool.submit(run, name).result() for name in SCENARIOS
+                if not name.startswith("experiments.")}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
