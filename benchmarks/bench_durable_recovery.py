@@ -28,7 +28,7 @@ Gates (asserted):
 Run directly (``python benchmarks/bench_durable_recovery.py [--smoke]``);
 ``--smoke`` shrinks the invocation count for the CI gate.  Full runs
 write ``benchmarks/BENCH_durable_recovery.json``; smoke runs write
-nothing.
+nothing, and neither does the pytest function ``test_durable_recovery``.
 """
 
 import argparse
@@ -102,14 +102,9 @@ def double_billed(app) -> int:
     return int(metric.value) if metric is not None else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help=f"shrink the workload to {SMOKE_INVOCATIONS} invocations (CI gate)",
-    )
-    args = parser.parse_args(argv)
-    invocations = SMOKE_INVOCATIONS if args.smoke else FULL_INVOCATIONS
+def run_experiment(invocations: int) -> dict:
+    """Run the four configurations, print the E43 table and assert its
+    gates; returns the numbers ``BENCH_durable_recovery.json`` records."""
     span_s = invocations * 0.1
 
     # Unprotected baseline: how many failures does the plan inject?
@@ -160,24 +155,6 @@ def main(argv=None) -> int:
         ),
     )
 
-    if not args.smoke:
-        out = pathlib.Path(__file__).parent / "BENCH_durable_recovery.json"
-        out.write_text(json.dumps({
-            "invocations": invocations,
-            "injected_failures": injected,
-            "rerun_failed": rerun_failed,
-            "rerun_duplicate_effects": rerun_duplicates,
-            "rerun_double_billed_slices": rerun_double_billed,
-            "durable_failed": durable_failed,
-            "durable_duplicate_effects": durable_duplicates,
-            "durable_double_billed_slices": durable_double_billed,
-            "durable_recoveries": durable_summary["recoveries"],
-            "durable_effects_replayed": durable_summary["effects_replayed"],
-            "no_fault_cost_ratio": cost_ratio,
-            "no_fault_latency_ratio": latency_ratio,
-            "overhead_bound": MAX_NO_FAULT_OVERHEAD,
-        }, indent=2) + "\n")
-
     assert durable_failed == 0, (
         f"durable execution left {durable_failed} of {injected} injected "
         "failures unrecovered (the gate is 100%)"
@@ -200,7 +177,43 @@ def main(argv=None) -> int:
         f"no-fault journal latency overhead x{latency_ratio:.4f} exceeds "
         f"x{1 + MAX_NO_FAULT_OVERHEAD:.2f}"
     )
+    return {
+        "invocations": invocations,
+        "injected_failures": injected,
+        "rerun_failed": rerun_failed,
+        "rerun_duplicate_effects": rerun_duplicates,
+        "rerun_double_billed_slices": rerun_double_billed,
+        "durable_failed": durable_failed,
+        "durable_duplicate_effects": durable_duplicates,
+        "durable_double_billed_slices": durable_double_billed,
+        "durable_recoveries": durable_summary["recoveries"],
+        "durable_effects_replayed": durable_summary["effects_replayed"],
+        "no_fault_cost_ratio": cost_ratio,
+        "no_fault_latency_ratio": latency_ratio,
+        "overhead_bound": MAX_NO_FAULT_OVERHEAD,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help=f"shrink the workload to {SMOKE_INVOCATIONS} invocations (CI gate)",
+    )
+    args = parser.parse_args(argv)
+    results = run_experiment(
+        SMOKE_INVOCATIONS if args.smoke else FULL_INVOCATIONS
+    )
+    if not args.smoke:
+        out = pathlib.Path(__file__).parent / "BENCH_durable_recovery.json"
+        out.write_text(json.dumps(results, indent=2) + "\n")
     return 0
+
+
+def test_durable_recovery(benchmark):
+    benchmark.pedantic(
+        lambda: run_experiment(FULL_INVOCATIONS), rounds=1, iterations=1
+    )
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import typing
 
 from taureau.baas.sizing import estimate_size_mb
 from taureau.core.calibration import DEFAULT_CALIBRATION, Calibration
+from taureau.core.function import journaled
 from taureau.sim import MetricRegistry, Simulation
 
 __all__ = ["BlobNotFound", "BlobStore"]
@@ -70,15 +71,8 @@ class BlobStore:
     # Data path
     # ------------------------------------------------------------------
 
-    # Writes route through the durable-execution journal when the
-    # calling context carries one (``with_durability``); reads stay
-    # live (idempotent).
-    @staticmethod
-    def _journaled(ctx, label: str, fn):
-        journal = getattr(ctx, "journal", None) if ctx is not None else None
-        if journal is None:
-            return fn()
-        return journal.apply(ctx, label, fn)
+    # Writes route through the durable-execution journal
+    # (``journaled``); reads stay live (idempotent).
 
     def put(
         self,
@@ -88,7 +82,7 @@ class BlobStore:
         size_mb: typing.Optional[float] = None,
     ) -> None:
         """Store ``value`` under ``key`` (overwrites)."""
-        return self._journaled(
+        return journaled(
             ctx, f"baas.blob.{self.name}.put:{key}",
             lambda: self._put(key, value, ctx, size_mb),
         )
@@ -131,7 +125,7 @@ class BlobStore:
         return key in self._blobs
 
     def delete(self, key: str, ctx=None) -> None:
-        return self._journaled(
+        return journaled(
             ctx, f"baas.blob.{self.name}.delete:{key}",
             lambda: self._delete(key, ctx),
         )

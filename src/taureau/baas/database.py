@@ -20,6 +20,7 @@ import typing
 
 from taureau.baas.sizing import estimate_size_mb
 from taureau.core.calibration import DEFAULT_CALIBRATION, Calibration
+from taureau.core.function import journaled
 from taureau.sim import MetricRegistry, Simulation
 
 __all__ = ["TransactionConflict", "Row", "Transaction", "ServerlessDatabase"]
@@ -159,15 +160,11 @@ class ServerlessDatabase:
         # replays a journaled commit (validation and apply both skipped
         # — the first attempt already applied it) instead of writing
         # twice.  Auto-commit put/delete inherit this via their txn.
-        ctx = txn._ctx
-        journal = getattr(ctx, "journal", None) if ctx is not None else None
-        if journal is None:
-            return self._commit(txn)
         label = (
             f"baas.db.{self.name}.commit:"
             f"{len(txn._writes)}w{len(txn._deletes)}d"
         )
-        result = journal.apply(ctx, label, lambda: self._commit(txn))
+        result = journaled(txn._ctx, label, lambda: self._commit(txn))
         # A replayed commit never ran in this attempt; reflect that the
         # transaction is settled (no-op after a real commit).
         txn.committed = True
@@ -225,13 +222,10 @@ class ServerlessDatabase:
         A retried function attempt calling with the same token gets the
         memoized result instead of re-applying the side effect.
         """
-        journal = getattr(ctx, "journal", None) if ctx is not None else None
-        if journal is not None:
-            return journal.apply(
-                ctx, f"baas.db.{self.name}.execute_once:{token}",
-                lambda: self._execute_once(token, action, ctx),
-            )
-        return self._execute_once(token, action, ctx)
+        return journaled(
+            ctx, f"baas.db.{self.name}.execute_once:{token}",
+            lambda: self._execute_once(token, action, ctx),
+        )
 
     def _execute_once(self, token, action, ctx):
         self._charge(ctx, 0.0)

@@ -13,6 +13,7 @@ import typing
 
 from taureau.baas.sizing import estimate_size_mb
 from taureau.core.calibration import DEFAULT_CALIBRATION, Calibration
+from taureau.core.function import journaled
 from taureau.sim import MetricRegistry, Simulation
 
 __all__ = ["ConditionFailed", "KvItem", "KvStore"]
@@ -56,22 +57,13 @@ class KvStore:
             self.faults.guard(self.fault_component, op, ctx=ctx,
                               policy=self.resilience)
 
-    # Writes route through the durable-execution journal when the
-    # calling context carries one (``with_durability``): the journal
-    # executes the mutation exactly once and replays its recorded
-    # result on retried attempts.  Reads stay live — they are
-    # idempotent, and a fresh read after a replayed write observes the
-    # state that write actually produced.
-    @staticmethod
-    def _journaled(ctx, label: str, fn):
-        journal = getattr(ctx, "journal", None) if ctx is not None else None
-        if journal is None:
-            return fn()
-        return journal.apply(ctx, label, fn)
+    # Writes route through the durable-execution journal (``journaled``).
+    # Reads stay live — they are idempotent, and a fresh read after a
+    # replayed write observes the state that write actually produced.
 
     def put(self, key: str, value: object, ctx=None, size_mb=None) -> int:
         """Unconditional write; returns the new version."""
-        return self._journaled(
+        return journaled(
             ctx, f"baas.kv.{self.name}.put:{key}",
             lambda: self._put(key, value, ctx, size_mb),
         )
@@ -95,7 +87,7 @@ class KvStore:
         :class:`ConditionFailed` on mismatch — the caller's cue that a
         concurrent (or re-executed) writer got there first.
         """
-        return self._journaled(
+        return journaled(
             ctx, f"baas.kv.{self.name}.put_if_version:{key}",
             lambda: self._put_if_version(key, value, expected_version,
                                          ctx, size_mb),
@@ -135,7 +127,7 @@ class KvStore:
         return item
 
     def delete(self, key: str, ctx=None) -> None:
-        return self._journaled(
+        return journaled(
             ctx, f"baas.kv.{self.name}.delete:{key}",
             lambda: self._delete(key, ctx),
         )
@@ -156,7 +148,7 @@ class KvStore:
         incrementing again (the classic duplicate-effect hazard of
         at-least-once retries).
         """
-        return self._journaled(
+        return journaled(
             ctx, f"baas.kv.{self.name}.counter_add:{key}",
             lambda: self._counter_add(key, delta, ctx),
         )

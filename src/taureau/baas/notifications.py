@@ -12,6 +12,7 @@ from __future__ import annotations
 import typing
 
 from taureau.core.calibration import DEFAULT_CALIBRATION, Calibration
+from taureau.core.function import journaled
 from taureau.sim import MetricRegistry, Simulation
 
 __all__ = ["NotificationService"]
@@ -58,13 +59,10 @@ class NotificationService:
         subscriber count instead of fanning the message out again — the
         classic duplicate-notification hazard of at-least-once retries.
         """
-        journal = getattr(ctx, "journal", None) if ctx is not None else None
-        if journal is not None:
-            return journal.apply(
-                ctx, f"baas.sns.publish:{topic}",
-                lambda: self._publish(topic, message, ctx),
-            )
-        return self._publish(topic, message, ctx)
+        return journaled(
+            ctx, f"baas.sns.publish:{topic}",
+            lambda: self._publish(topic, message, ctx),
+        )
 
     def _publish(self, topic: str, message: object, ctx) -> int:
         subscribers = self._topic(topic)

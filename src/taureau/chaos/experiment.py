@@ -50,24 +50,22 @@ def all_invocations_terminated(app) -> typing.Tuple[bool, str]:
 
 
 def no_inflight_messages(app) -> typing.Tuple[bool, str]:
-    """Every delivered Pulsar message was acked; no consumer backlog.
+    """No consumer holds a delivered Pulsar message it has not acked.
 
     The "no acked message lost" half is structural (acks only move
     cursors forward); what a crash can leak is *unacked in-flight*
     deliveries, which is exactly what this checks after redelivery.
     """
-    runtime = app._subsystems.get("pulsar")
+    runtime = app.pulsar
     if runtime is None:
         return True, "no pulsar cluster attached"
     unacked = 0
-    backlog = 0
     for broker in runtime.cluster.brokers:
         for topic in broker.topics.values():
             for subscription in topic.subscriptions.values():
                 for consumer in subscription.consumers:
                     unacked += len(consumer._unacked)
-    detail = f"{unacked} unacked in-flight messages"
-    return unacked == 0 and backlog == 0, detail
+    return unacked == 0, f"{unacked} unacked in-flight messages"
 
 
 def all_executions_terminated(app) -> typing.Tuple[bool, str]:
@@ -92,7 +90,7 @@ def exactly_once_effects(app) -> typing.Tuple[bool, str]:
     exactly once — and the replay cursor never ran past a log.  Passes
     vacuously (with a say-so) when durability is not installed.
     """
-    manager = app._subsystems.get("durable")
+    manager = app.durable
     if manager is None:
         return True, "no durable layer installed"
     duplicates = manager.journal.duplicate_executions()
@@ -115,10 +113,10 @@ def no_lost_acked_work(app) -> typing.Tuple[bool, str]:
     Checks the durable layer's liveness half: after the drain there is
     no entry still open (accepted work that silently vanished) and no
     entry whose terminal failure was fault-caused (an injected fault
-    the recovery manager failed to replay around).  Pulsar in-flight
+    durable recovery failed to replay around).  Pulsar in-flight
     deliveries must be acked too, when a cluster is attached.
     """
-    manager = app._subsystems.get("durable")
+    manager = app.durable
     if manager is None:
         return True, "no durable layer installed"
     open_entries = manager.journal.open_count()
@@ -213,7 +211,7 @@ class ChaosExperiment:
         until=None,
         invariants: typing.Sequence[typing.Callable] = (),
         platform_kwargs: typing.Optional[dict] = None,
-        durability=None,
+        durability: bool = False,
     ):
         self.scenario = scenario
         self.plan = plan
@@ -222,15 +220,12 @@ class ChaosExperiment:
         self.until = until
         self.invariants = list(invariants)
         self.platform_kwargs = dict(platform_kwargs or {})
-        #: ``True`` installs the durable layer with default policy;
-        #: a :class:`~taureau.durable.DurabilityPolicy` customizes it.
+        #: ``True`` installs the durable layer.
         self.durability = durability
 
     def _setup(self, app) -> None:
-        if self.durability is not None:
-            app.with_durability(
-                None if self.durability is True else self.durability
-            )
+        if self.durability:
+            app.with_durability()
         if self.policy is not None:
             app.with_resilience(self.policy)
         if self.plan is not None:

@@ -365,8 +365,7 @@ class ChaosController:
         return sandbox.sandbox_id, f"function {sandbox.spec.name}"
 
     def _pulsar_cluster(self):
-        runtime = self.platform._subsystems.get("pulsar")
-        return getattr(runtime, "cluster", None)
+        return getattr(self.platform.pulsar, "cluster", None)
 
     def _crash_broker(self, spec: FaultSpec):
         cluster = self._pulsar_cluster()

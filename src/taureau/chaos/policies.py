@@ -79,8 +79,7 @@ class CircuitBreaker:
     STATE_VALUES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
     def __init__(self, sim, failure_threshold: int = 5,
-                 reset_timeout_s: float = 30.0,
-                 on_transition: typing.Optional[typing.Callable] = None):
+                 reset_timeout_s: float = 30.0):
         if failure_threshold <= 0:
             raise ValueError("failure_threshold must be positive")
         if reset_timeout_s <= 0:
@@ -88,7 +87,6 @@ class CircuitBreaker:
         self.sim = sim
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
-        self.on_transition = on_transition
         self.state = self.CLOSED
         self.transitions: typing.List[tuple] = []
         self._consecutive_failures = 0
@@ -134,8 +132,6 @@ class CircuitBreaker:
     def _transition(self, state: str) -> None:
         self.state = state
         self.transitions.append((self.sim.now, state))
-        if self.on_transition is not None:
-            self.on_transition(self)
 
     @property
     def state_value(self) -> int:
@@ -170,7 +166,7 @@ class ResiliencePolicy:
     retry_budget: typing.Optional[int] = None
     max_redeliveries: int = 3
 
-    def breaker_for(self, sim, on_transition=None):
+    def breaker_for(self, sim):
         """A configured :class:`CircuitBreaker`, or ``None`` if disabled."""
         if self.breaker_failure_threshold is None:
             return None
@@ -178,5 +174,4 @@ class ResiliencePolicy:
             sim,
             failure_threshold=self.breaker_failure_threshold,
             reset_timeout_s=self.breaker_reset_timeout_s,
-            on_transition=on_transition,
         )

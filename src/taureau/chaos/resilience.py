@@ -29,15 +29,18 @@ class _Call:
     """Book-keeping for one logical invocation across attempts/hedges."""
 
     __slots__ = (
-        "name", "payload", "parent", "done", "resolved", "retries_used",
-        "hedged", "live_tokens", "last_record", "journal_entry",
+        "name", "payload", "parent", "done", "arrival_time", "resolved",
+        "retries_used", "hedged", "live_tokens", "last_record",
+        "journal_entry",
     )
 
-    def __init__(self, name, payload, parent, done, journal_entry=None):
+    def __init__(self, name, payload, parent, done, arrival_time,
+                 journal_entry=None):
         self.name = name
         self.payload = payload
         self.parent = parent
         self.done = done
+        self.arrival_time = arrival_time
         self.resolved = False
         self.retries_used = 0
         self.hedged = False
@@ -69,15 +72,24 @@ class ResilientInvoker:
     def invoke(self, name: str, payload: object = None, parent=None,
                journal_entry=None):
         done = self.sim.event()
-        call = _Call(name, payload, parent, done, journal_entry=journal_entry)
-        breaker = self._breaker_for(name)
-        if breaker is not None and not breaker.allow():
+        call = _Call(name, payload, parent, done, self.sim.now,
+                     journal_entry=journal_entry)
+        if not self._breaker_allows(name):
             self.metrics.counter("breaker_short_circuits").add()
             if journal_entry is not None:
                 # The entry never ran; settle it so it does not read as
                 # lost in-flight work.
                 journal_entry.finalize("throttled")
-            done.succeed(self._short_circuit_record(name, payload))
+            record = self._client_record(
+                call, CircuitOpenError(f"{name}: circuit breaker is open")
+            )
+            # Keep the aggregate and labeled invocation counts consistent:
+            # a short-circuited call is still a (terminal) invocation.
+            self.metrics.counter("invocations").add()
+            self.metrics.labeled_counter(
+                "invocations_by", ("function", "outcome")
+            ).add(function=name, outcome=record.status.value)
+            done.succeed(record)
             return done
         self._launch(call)
         return done
@@ -181,13 +193,12 @@ class ResilientInvoker:
         if not success:
             self._retry_metric("exhausted")
         if record is None:
-            # Every attempt timed out before returning a record.
-            record = self._short_circuit_record(
-                call.name, call.payload,
-                error=CircuitOpenError(
-                    f"{call.name}: all attempts timed out client-side"
-                ),
-            )
+            # Every attempt timed out before returning a record.  Each
+            # abandoned attempt is already a counted platform invocation,
+            # so this record counts nothing more.
+            record = self._client_record(call, CircuitOpenError(
+                f"{call.name}: all attempts timed out client-side"
+            ))
         call.done.succeed(record)
 
     def _budget_allows(self) -> bool:
@@ -207,59 +218,38 @@ class ResilientInvoker:
     # Circuit breakers
     # ------------------------------------------------------------------
 
-    def _breaker_for(self, name: str):
+    def _breaker_allows(self, name: str) -> bool:
+        """Whether ``name``'s breaker admits a call (True without one)."""
         breaker = self._breakers.get(name)
-        if breaker is None and self.policy.breaker_failure_threshold is not None:
-            breaker = self.policy.breaker_for(self.sim)
-            self._breakers[name] = breaker
+        if breaker is None:
+            if self.policy.breaker_failure_threshold is None:
+                return True
+            breaker = self._breakers[name] = self.policy.breaker_for(self.sim)
             self._publish_breaker_state(name, breaker)
-        if breaker is not None:
-            allowed = breaker.allow()
-            self._publish_breaker_state(name, breaker)
-            # Re-check outside: allow() may have transitioned the state.
-            return _PrecheckedBreaker(breaker, allowed)
-        return None
+        allowed = breaker.allow()
+        # allow() may have transitioned the state.
+        self._publish_breaker_state(name, breaker)
+        return allowed
 
     def _publish_breaker_state(self, name: str, breaker) -> None:
         self.metrics.labeled_gauge("breaker_state", ("function",)).set(
             breaker.state_value, function=name
         )
 
-    def _short_circuit_record(self, name, payload, error=None):
-        now = self.sim.now
+    def _client_record(self, call: _Call, error) -> InvocationRecord:
+        """A THROTTLED record for a call the client settles itself."""
         record = InvocationRecord(
             invocation_id=f"cb{next(self._short_circuit_ids)}",
-            function_name=name,
-            payload=payload,
-            arrival_time=now,
+            function_name=call.name,
+            payload=call.payload,
+            arrival_time=call.arrival_time,
         )
-        record.start_time = record.end_time = now
+        record.start_time = record.end_time = self.sim.now
         record.status = InvocationStatus.THROTTLED
-        record.error = error or CircuitOpenError(
-            f"{name}: circuit breaker is open"
-        )
-        # Keep the aggregate and labeled invocation counts consistent:
-        # a short-circuited call is still a (terminal) invocation.
-        self.metrics.counter("invocations").add()
-        self.metrics.labeled_counter(
-            "invocations_by", ("function", "outcome")
-        ).add(function=name, outcome=record.status.value)
+        record.error = error
         return record
 
     def breaker_state(self, name: str) -> str:
         """The breaker state for ``name`` (``"closed"`` when none exists)."""
         breaker = self._breakers.get(name)
         return breaker.state if breaker is not None else "closed"
-
-
-class _PrecheckedBreaker:
-    """Carries one already-evaluated allow() decision to the caller."""
-
-    __slots__ = ("breaker", "allowed")
-
-    def __init__(self, breaker, allowed: bool):
-        self.breaker = breaker
-        self.allowed = allowed
-
-    def allow(self) -> bool:
-        return self.allowed

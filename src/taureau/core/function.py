@@ -30,6 +30,7 @@ __all__ = [
     "InvocationRecord",
     "InvocationStatus",
     "FunctionTimeout",
+    "journaled",
 ]
 
 
@@ -102,6 +103,20 @@ class FunctionSpec:
     @property
     def memory_gb(self) -> float:
         return self.memory_mb / 1024.0
+
+
+def journaled(ctx, label: str, fn):
+    """Run ``fn`` through ``ctx.journal`` when the context carries one.
+
+    The one route every effectful client takes with durable execution
+    (``with_durability``) installed: the journal executes ``fn`` once
+    and replays its recorded result on retried attempts.  Without a
+    journal (or without a context) ``fn`` just runs.
+    """
+    journal = getattr(ctx, "journal", None)
+    if journal is None:
+        return fn()
+    return journal.apply(ctx, label, fn)
 
 
 class InvocationContext:
@@ -177,9 +192,7 @@ class InvocationContext:
         ``ctx.effect`` keep working on an at-least-once platform, they
         just lose the dedup.
         """
-        if self.journal is None:
-            return fn()
-        return self.journal.apply(self, f"effect:{key}", fn)
+        return journaled(self, f"effect:{key}", fn)
 
     # ------------------------------------------------------------------
     # Tracing: the handler-side half of the obs subsystem.  Simulated

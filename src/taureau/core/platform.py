@@ -374,7 +374,9 @@ class FaasPlatform:
         self._resilience = None
         #: Installed by ``Platform.with_durability()``: the
         #: :class:`~taureau.durable.DurabilityManager` that journals
-        #: effects, replays retries and re-drives fault-killed work.
+        #: effects, replays retries and decides which fault-killed
+        #: attempts :meth:`_conclude` re-drives.  An attempt carries a
+        #: journal entry only while one is installed.
         self._durability = None
         #: Called with each :class:`FunctionSpec` at registration time;
         #: installed by ``Platform.with_audit()`` (the wiring-time
@@ -846,12 +848,16 @@ class FaasPlatform:
                 self._changed[pool_key] = None
         attempt.execution_epoch += 1  # invalidate the queued finish
         self._exit_cpu(sandbox, attempt.spec)
-        self._running -= 1
-        self._running_per_function[attempt.spec.name] -= 1
-        if self._changed is not None:
-            self._changed[attempt.spec.name] = None
-        self._hot.running.record(self.sim.now, self._running)
+        self._release_slot(attempt.spec.name)
         return attempt
+
+    def _release_slot(self, name: str) -> None:
+        """Free the dispatch slot one attempt of ``name`` held."""
+        self._running -= 1
+        self._running_per_function[name] -= 1
+        if self._changed is not None:
+            self._changed[name] = None
+        self._hot.running.record(self.sim.now, self._running)
 
     # ------------------------------------------------------------------
     # Dispatch pipeline
@@ -1137,9 +1143,7 @@ class FaasPlatform:
         if sandbox.dead:
             # The hosting machine failed during the cold start: release
             # the dispatch slot and transparently re-dispatch (§4.1).
-            self._running -= 1
-            self._running_per_function[spec.name] -= 1
-            self._hot.running.record(self.sim.now, self._running)
+            self._release_slot(spec.name)
             self.metrics.counter("machine_failure_reexecutions").add()
             record.attempts += 1
             self._dispatch(attempt)
@@ -1265,11 +1269,7 @@ class FaasPlatform:
         self._executing.pop(attempt, None)
         sandbox.attempt = None
         self._exit_cpu(sandbox, spec)
-        self._running -= 1
-        self._running_per_function[spec.name] -= 1
-        if self._changed is not None:
-            self._changed[spec.name] = None
-        self._hot.running.record(self.sim.now, self._running)
+        self._release_slot(spec.name)
         self._bill(attempt, exec_duration)
         self._return_to_pool(sandbox)
         self._conclude(attempt, status, response, error, exec_duration)
@@ -1286,34 +1286,31 @@ class FaasPlatform:
         the normal finish path and chaos-injected sandbox crashes)."""
         spec = attempt.spec
         record = attempt.record
-        if status is not InvocationStatus.OK and attempt.attempts_left > 0:
-            attempt.attempts_left -= 1
-            record.attempts += 1
-            self.metrics.counter("retries").add()
-            self.metrics.labeled_counter(
-                "retries_by", ("component", "outcome")
-            ).add(component="faas.platform", outcome="retry")
-            self._dispatch(attempt)
-            self._drain_pending()
-            return
-        if (
-            status is not InvocationStatus.OK
-            and attempt.journal_entry is not None
-            and self._durability is not None
-            and self._durability.should_recover(attempt.journal_entry, error)
-        ):
-            # Durable recovery: the ordinary retry budget is spent, but
-            # the failure was fault-injected, so the journal re-drives
-            # the invocation — replaying logged effects, not re-running
-            # them — without charging the user's retry allowance.
-            record.attempts += 1
-            delay = self._durability.recovery_delay(attempt.journal_entry)
-            if delay > 0:
-                self.sim.schedule_after(delay, self._recover_dispatch, attempt)
-            else:
-                self._dispatch(attempt)
-            self._drain_pending()
-            return
+        if status is not InvocationStatus.OK:
+            # One retry decision: the function's max_retries re-dispatch
+            # at once.  Once they are spent, durable recovery re-drives
+            # an attempt an injected fault killed after a backoff: it
+            # replays the journal instead of re-running logged effects,
+            # and does not charge the user's retry allowance.
+            entry = attempt.journal_entry
+            delay = None
+            if attempt.attempts_left > 0:
+                attempt.attempts_left -= 1
+                self.metrics.counter("retries").add()
+                self.metrics.labeled_counter(
+                    "retries_by", ("component", "outcome")
+                ).add(component="faas.platform", outcome="retry")
+                delay = 0.0
+            elif entry is not None and self._durability.should_recover(entry, error):
+                delay = self._durability.recovery_delay(entry)
+            if delay is not None:
+                record.attempts += 1
+                if delay > 0:
+                    self.sim.schedule_after(delay, self._recover_dispatch, attempt)
+                else:
+                    self._dispatch(attempt)
+                self._drain_pending()
+                return
 
         record.status = status
         record.response = response
@@ -1335,7 +1332,7 @@ class FaasPlatform:
             self.metrics.counter("errors").add()
         if attempt.span is not None:
             attempt.span.finish(self.sim.now, status=status.value)
-        if attempt.journal_entry is not None and self._durability is not None:
+        if attempt.journal_entry is not None:
             self._durability.finalize(
                 attempt.journal_entry, status.value, error
             )
@@ -1343,7 +1340,7 @@ class FaasPlatform:
         self._drain_pending()
 
     def _recover_dispatch(self, attempt: _Attempt) -> None:
-        """Re-dispatch a journal-recovered attempt after its backoff."""
+        """Re-dispatch a failed attempt after its backoff."""
         self._dispatch(attempt)
         self._drain_pending()
 
@@ -1357,7 +1354,7 @@ class FaasPlatform:
         calibration = self.config.calibration
         granularity = calibration.billing_granularity_s
         slices = math.ceil(max(duration, 1e-12) / granularity)
-        if journal_entry is not None and self._durability is not None:
+        if journal_entry is not None:
             # Durable billing: a logical invocation pays the high-water
             # mark over its attempts, never the sum — replayed ground
             # was already paid for.

@@ -3,11 +3,12 @@
 Turns crash-retry from blind re-execution into journaled replay: a
 write-ahead :class:`InvocationJournal` records every side effect an
 invocation issues, retried attempts replay the journaled results
-instead of re-issuing the mutations, a recovery manager re-drives
-fault-killed invocations past their retry budget, billing credits
-already-paid 100ms slices, and an orchestration :class:`Checkpointer`
-resumes failed workflows from their last completed step.  Install with
-``Platform.with_durability(policy)``.
+instead of re-issuing the mutations, the platform re-drives
+fault-killed invocations past their retry budget (the manager decides
+which, and how long to back off), billing credits already-paid 100ms
+slices, and an orchestration :class:`Checkpointer` resumes failed
+workflows from their last completed step.  Install with
+``Platform.with_durability()``.
 """
 
 from taureau.durable.checkpoint import Checkpointer, CheckpointScope
@@ -19,11 +20,7 @@ from taureau.durable.journal import (
     JournalEntry,
     JournalVersionError,
 )
-from taureau.durable.manager import (
-    AttemptJournal,
-    DurabilityManager,
-    DurabilityPolicy,
-)
+from taureau.durable.manager import AttemptJournal, DurabilityManager
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -32,7 +29,6 @@ __all__ = [
     "EffectRecord",
     "JournalEntry",
     "InvocationJournal",
-    "DurabilityPolicy",
     "DurabilityManager",
     "AttemptJournal",
     "Checkpointer",

@@ -3,51 +3,45 @@
 The manager is the run-time face of the journal.  It owns the single
 :class:`~taureau.durable.journal.InvocationJournal` of the platform,
 applies effects through it (journal on first execution, replay on
-retries), decides when an exhausted invocation deserves a journal-driven
-recovery re-dispatch, and credits already-billed 100ms slices so a
+retries), classifies which exhausted invocations the platform re-drives
+from the journal, and credits already-billed 100ms slices so a
 recovered invocation is paid for once.  Everything is charged on the
-virtual clock — a journaled append costs ``journal_write_latency_s`` of
-invocation time, a replayed read ``journal_read_latency_s`` — so the
+virtual clock — a journaled append costs :data:`JOURNAL_WRITE_S` of
+invocation time, a replayed read :data:`JOURNAL_READ_S` — so the
 durable layer shows up honestly in latency and billing, and identically
 in same-seed replays.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import typing
+import math
 
 from taureau.chaos.faults import FaultInjected
+from taureau.chaos.policies import RetryPolicy
 from taureau.durable.checkpoint import Checkpointer
 from taureau.durable.journal import InvocationJournal, JournalEntry
 from taureau.sim.metrics import MetricRegistry
 
-__all__ = ["DurabilityPolicy", "DurabilityManager", "AttemptJournal"]
+__all__ = [
+    "JOURNAL_WRITE_S", "JOURNAL_READ_S", "RECOVERY",
+    "DurabilityManager", "AttemptJournal",
+]
 
+# The journal latencies model a local write-ahead log append (write) and
+# an in-memory log cursor read (replay); both accrue on the invocation
+# like any other I/O, so the overhead is visible — and small — on the
+# no-fault path.
 
-@dataclasses.dataclass
-class DurabilityPolicy:
-    """Tunables of the durable-execution layer.
-
-    The journal latencies model a local write-ahead log append (write)
-    and an in-memory log cursor read (replay); both accrue on the
-    invocation like any other I/O so the overhead is visible — and
-    small — on the no-fault path.
-    """
-
-    #: Virtual seconds charged per freshly journaled effect.
-    journal_write_latency_s: float = 0.0002
-    #: Virtual seconds charged per replayed effect.
-    journal_read_latency_s: float = 0.0001
-    #: Journal-driven re-dispatches allowed per logical invocation once
-    #: the ordinary retry budget is exhausted (fault-caused failures
-    #: only — handler bugs are never re-driven).
-    max_recoveries: int = 8
-    #: Exponential backoff before each recovery re-dispatch, so the
-    #: recovery budget outlives a fault window instead of burning out
-    #: inside it.  Delay = ``backoff * multiplier ** (recovery - 1)``.
-    recovery_backoff_s: float = 0.5
-    recovery_backoff_multiplier: float = 2.0
+#: Virtual seconds charged per freshly journaled effect.
+JOURNAL_WRITE_S = 0.0002
+#: Virtual seconds charged per replayed effect.
+JOURNAL_READ_S = 0.0001
+#: Journal-driven re-dispatches per logical invocation once its
+#: ``max_retries`` budget is spent (fault-caused failures only — handler
+#: bugs are never re-driven), each after exponential backoff so the
+#: budget outlives a fault window instead of burning out inside it.
+RECOVERY = RetryPolicy(max_attempts=8, base_delay_s=0.5, multiplier=2.0,
+                       max_delay_s=math.inf, jitter=0.0)
 
 
 class AttemptJournal:
@@ -72,8 +66,7 @@ class AttemptJournal:
 class DurabilityManager:
     """Journal, replay cursor, recovery policy, and their metrics."""
 
-    def __init__(self, policy: typing.Optional[DurabilityPolicy] = None):
-        self.policy = policy or DurabilityPolicy()
+    def __init__(self):
         self.journal = InvocationJournal()
         self.checkpointer = Checkpointer(self)
         self.metrics = MetricRegistry(namespace="durable")
@@ -137,8 +130,7 @@ class DurabilityManager:
         if record is not None:
             replayed = entry.replay(label)
             self.metrics.counter("effects_replayed").add()
-            self._charge(ctx, self.policy.journal_read_latency_s,
-                         "durable.replay", label)
+            self._charge(ctx, JOURNAL_READ_S, "durable.replay", label)
             return replayed.result
         self._applying = True
         try:
@@ -147,8 +139,7 @@ class DurabilityManager:
             self._applying = False
         entry.append(label, result)
         self.metrics.counter("effects_journaled").add()
-        self._charge(ctx, self.policy.journal_write_latency_s,
-                     "durable.journal", label)
+        self._charge(ctx, JOURNAL_WRITE_S, "durable.journal", label)
         return result
 
     @staticmethod
@@ -168,7 +159,7 @@ class DurabilityManager:
         """
         if not isinstance(error, FaultInjected):
             return False
-        if entry.recoveries >= self.policy.max_recoveries:
+        if entry.recoveries >= RECOVERY.max_attempts:
             self.metrics.counter("recoveries_exhausted").add()
             return False
         entry.recoveries += 1
@@ -180,10 +171,7 @@ class DurabilityManager:
 
     def recovery_delay(self, entry: JournalEntry) -> float:
         """Backoff before the entry's next recovery re-dispatch."""
-        exponent = max(0, entry.recoveries - 1)
-        return self.policy.recovery_backoff_s * (
-            self.policy.recovery_backoff_multiplier ** exponent
-        )
+        return RECOVERY.backoff_s(max(0, entry.recoveries - 1), None)
 
     def billable_slices(self, entry: JournalEntry, slices: int) -> int:
         """How many of ``slices`` to bill, crediting slices already paid.

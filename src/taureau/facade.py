@@ -469,7 +469,7 @@ class Platform:
             pulsar.default_max_redeliveries = policy.max_redeliveries
         return self
 
-    def with_durability(self, policy=None) -> "Platform":
+    def with_durability(self) -> "Platform":
         """Install durable execution: journaled replay instead of re-run.
 
         Every FaaS invocation (and every single-message Pulsar function
@@ -478,23 +478,23 @@ class Platform:
         intercepted KV/blob/DB/notification writes and Pulsar publishes
         — execute exactly once: a retried or recovered attempt replays
         the journal positionally and only runs fresh effects for real.
-        The platform recovers injected-fault failures itself (with
-        exponential backoff, up to ``policy.max_recoveries`` times)
+        Once a function's ``max_retries`` are spent, the platform
+        re-dispatches an attempt an injected fault killed (up to 8
+        times, backing off per :data:`taureau.durable.manager.RECOVERY`)
         without consuming the resilience layer's retry budget, bills by
-        high-water mark so replayed slices are never double-charged, and
+        high-water mark so
+        replayed slices are never double-charged, and
         :meth:`orchestrator` workflows can resume through
         ``run(..., checkpoint=app.durable.checkpointer.scope(key))``.
 
-        ``policy`` is a :class:`~taureau.durable.DurabilityPolicy`
-        (default constructed when omitted).  Returns ``self``; the
-        manager is :attr:`durable` and its summary joins
-        :meth:`dashboard` under ``"durable"``.
+        Returns ``self``; the manager is :attr:`durable` and its summary
+        joins :meth:`dashboard` under ``"durable"``.
         """
         from taureau.durable import DurabilityManager
 
         if self._durable is not None:
             raise RuntimeError("a durability layer is already installed")
-        manager = DurabilityManager(policy)
+        manager = DurabilityManager()
         self._durable = manager
         self._subsystems["durable"] = manager
         self.faas._durability = manager
@@ -719,13 +719,7 @@ class Platform:
     # Run recorder + HTML run explorer
     # ------------------------------------------------------------------
 
-    def with_recorder(
-        self,
-        interval_s: float = 1.0,
-        max_traces: int = 50,
-        max_function_lanes: int = 16,
-        max_topic_lanes: int = 32,
-    ) -> "Platform":
+    def with_recorder(self, interval_s: float = 1.0) -> "Platform":
         """Install a :class:`~taureau.obs.RunRecorder` daemon.
 
         Samples queue depth, warm pools, cold fraction, topic backlogs,
@@ -739,13 +733,7 @@ class Platform:
 
         if self._recorder is not None:
             raise RuntimeError("a run recorder is already installed")
-        self._recorder = RunRecorder(
-            self,
-            interval_s=interval_s,
-            max_traces=max_traces,
-            max_function_lanes=max_function_lanes,
-            max_topic_lanes=max_topic_lanes,
-        )
+        self._recorder = RunRecorder(self, interval_s=interval_s)
         self._recorder.ensure_running()
         return self
 

@@ -48,6 +48,15 @@ ARTIFACT_VERSION = 1
 #: Circuit-breaker states as plottable lane values.
 _BREAKER_LEVELS = {"closed": 0, "half_open": 1, "open": 2}
 
+#: How many span trees an artifact embeds (store order) — bounded so a
+#: million-invocation run stays a megabyte, not a terabyte.
+MAX_TRACES = 50
+#: Per-function and per-topic series are recorded for at most this many
+#: names (deployment / creation order); aggregate lanes always record
+#: everything.  Keeps tick cost O(lanes), independent of workload scale.
+MAX_FUNCTION_LANES = 16
+MAX_TOPIC_LANES = 32
+
 
 class ArtifactVersionError(ValueError):
     """A loaded artifact was written by an incompatible schema version."""
@@ -147,14 +156,6 @@ class RunRecorder:
         The :class:`taureau.Platform` to observe (read-only).
     interval_s:
         Sampling cadence in simulated seconds.
-    max_traces:
-        How many span trees the artifact embeds (store order — bounded
-        so a million-invocation run stays a megabyte, not a terabyte).
-    max_function_lanes / max_topic_lanes:
-        Per-function and per-topic series are recorded for at most this
-        many names (deployment / creation order); aggregate lanes always
-        record everything.  Keeps tick cost O(lanes), independent of
-        workload scale.
 
     The recorder is pure observation: it reads instantaneous platform
     state and cumulative metric values (via ``find`` — never creating
@@ -162,22 +163,12 @@ class RunRecorder:
     add daemon entries to the event queue.
     """
 
-    def __init__(
-        self,
-        platform,
-        interval_s: float = 1.0,
-        max_traces: int = 50,
-        max_function_lanes: int = 16,
-        max_topic_lanes: int = 32,
-    ):
+    def __init__(self, platform, interval_s: float = 1.0):
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         self.platform = platform
         self.sim = platform.sim
         self.interval_s = interval_s
-        self.max_traces = max_traces
-        self.max_function_lanes = max_function_lanes
-        self.max_topic_lanes = max_topic_lanes
         self.ticks = 0
         self._scheduled = False
         #: Sample times, one entry per tick.
@@ -245,7 +236,7 @@ class RunRecorder:
                 series.append(0.0)
 
     def _lane_functions(self) -> typing.List[str]:
-        return self.platform.faas.function_names()[: self.max_function_lanes]
+        return self.platform.faas.function_names()[:MAX_FUNCTION_LANES]
 
     def _sample_faas(self) -> None:
         faas = self.platform.faas
@@ -271,7 +262,7 @@ class RunRecorder:
         )
 
     def _sample_pulsar(self) -> None:
-        runtime = self.platform._subsystems.get("pulsar")
+        runtime = self.platform.pulsar
         cluster = getattr(runtime, "cluster", None)
         if cluster is None:
             return
@@ -284,7 +275,7 @@ class RunRecorder:
                     topic.backlog
                 )
         self._record("pulsar.backlog", sum(backlog.values()))
-        for topic_name in list(backlog)[: self.max_topic_lanes]:
+        for topic_name in list(backlog)[:MAX_TOPIC_LANES]:
             self._record(
                 f'backlog{{topic="{topic_name}"}}', backlog[topic_name]
             )
@@ -308,7 +299,7 @@ class RunRecorder:
             self._record(f'slo_burn_rate{{slo="{slo.name}"}}', burn)
 
     def _sample_breakers(self) -> None:
-        invoker = self.platform.faas._resilience
+        invoker = self.platform.resilience
         if invoker is None:
             return
         for name in self._lane_functions():
@@ -327,7 +318,7 @@ class RunRecorder:
                 })
 
     def _sample_durable(self) -> None:
-        manager = self.platform._subsystems.get("durable")
+        manager = self.platform.durable
         if manager is None:
             return
         self._record("durable.entries_open", manager.journal.open_count())
@@ -432,7 +423,7 @@ class RunRecorder:
         from taureau.obs.analysis import critical_path
 
         trees = []
-        for trace_id in tracer.store.trace_ids()[: self.max_traces]:
+        for trace_id in tracer.store.trace_ids()[:MAX_TRACES]:
             trace = tracer.store.trace(trace_id)
             spans = [
                 {
@@ -476,7 +467,7 @@ class RunRecorder:
             ]
         brokers: list = []
         bookies: list = []
-        runtime = platform._subsystems.get("pulsar")
+        runtime = platform.pulsar
         cluster = getattr(runtime, "cluster", None)
         if cluster is not None:
             brokers = [

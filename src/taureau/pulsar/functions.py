@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import typing
 
+from taureau.core.function import journaled
 from taureau.pulsar.cluster import Producer, PulsarCluster
 from taureau.pulsar.topic import Message, SubscriptionType
 from taureau.sim import MetricRegistry
@@ -85,14 +86,10 @@ class FunctionContext:
         journaled publish instead of emitting the payload twice.
         """
         parent = self._message.trace if self._message is not None else None
-        if self.journal is not None:
-            return self.journal.apply(
-                self, f"pulsar.publish:{topic}",
-                lambda: self._producer(topic).send(
-                    payload, key=key, parent=parent
-                ),
-            )
-        return self._producer(topic).send(payload, key=key, parent=parent)
+        return journaled(
+            self, f"pulsar.publish:{topic}",
+            lambda: self._producer(topic).send(payload, key=key, parent=parent),
+        )
 
     def _producer(self, topic: str) -> Producer:
         producer = self._producers.get(topic)

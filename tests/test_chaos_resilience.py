@@ -14,6 +14,7 @@ from taureau.chaos import (
     FaultPlan,
     ResiliencePolicy,
     RetryPolicy,
+    all_invocations_terminated,
 )
 from taureau.core.function import InvocationStatus
 from taureau.jiffy import BlockPool, CapacityError, JiffyController, PoolExhausted
@@ -167,6 +168,30 @@ class TestResilientInvoker:
         record = app.invoke_sync("slow", None)
         assert record.status is InvocationStatus.THROTTLED
         assert "timed out client-side" in str(record.error)
+
+    def test_all_timed_out_call_keeps_its_arrival_and_counts_no_extra(self):
+        app = taureau.Platform(seed=0)
+
+        @app.function("slow")
+        def slow(event, ctx):
+            ctx.charge(5.0)
+            return "late"
+
+        app.with_resilience(ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=1, base_delay_s=0.5, jitter=0.0),
+            attempt_timeout_s=1.0,
+        ))
+        app.run(until=3.0)
+        record = app.invoke_sync("slow", None)
+        # Attempts at t=3.0 and t=4.5 each time out after 1 s.
+        assert record.status is InvocationStatus.THROTTLED
+        assert record.arrival_time == 3.0
+        assert record.end_to_end_latency_s == 2.5
+        app.run()
+        # The two abandoned attempts are the only invocations.
+        assert app.metrics.counter("invocations").value == 2
+        ok, detail = all_invocations_terminated(app)
+        assert ok, detail
 
     def test_hedged_request_wins(self):
         app = taureau.Platform(seed=0)

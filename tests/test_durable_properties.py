@@ -1,14 +1,21 @@
 """Property sweep: the durable contract holds across 50 seeded fault plans.
 
-Issue E43's property half: for 50 seeds, derive a random-but-seeded
+E43's property half: for 50 seeds, derive a random-but-seeded
 fault plan (sandbox crash rate, BaaS error window, optional machine
 crashes), run a billing+effect workload under the durable layer, and
 assert the whole invariant set — every invocation terminal, exactly-once
 effects, no lost acked work, no double billing.  A sample of seeds
 additionally re-runs the entire experiment through
 ``verify_determinism``: crash recovery replays byte-identically.
+
+A second axis varies the layer stack over a sample of the seeds:
+durability on/off × resilience on/off × ``max_retries`` 0/2, so the
+platform's retry budget and durable recovery are checked together and
+apart, with and without client-side retries.
 """
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -55,11 +62,11 @@ def random_plan(seed: int) -> FaultPlan:
     return plan
 
 
-def scenario(app):
+def scenario(app, max_retries=0):
     app.with_kvstore()
     counted = {"n": 0}
 
-    @app.function("writer")
+    @app.function("writer", max_retries=max_retries)
     def writer(event, ctx):
         ctx.charge(0.05)
         kv = ctx.service("kv")
@@ -78,15 +85,29 @@ def scenario(app):
         app.sim.schedule_at(index * step, app.invoke, "writer", index)
 
 
-def experiment(seed: int) -> ChaosExperiment:
+def experiment(seed: int, durability=True, resilience=True,
+               max_retries=0) -> ChaosExperiment:
     return ChaosExperiment(
-        scenario,
+        functools.partial(scenario, max_retries=max_retries),
         plan=random_plan(seed),
         seed=seed,
-        durability=True,
-        policy=ResiliencePolicy(retry=RetryPolicy(max_attempts=3)),
-        invariants=INVARIANTS,
+        durability=durability,
+        policy=(ResiliencePolicy(retry=RetryPolicy(max_attempts=3))
+                if resilience else None),
+        invariants=INVARIANTS if durability else [all_invocations_terminated],
     )
+
+
+STACKS = [
+    pytest.param(
+        durability, resilience, max_retries,
+        id=f"{'durable' if durability else 'bare'}-"
+           f"{'resilient' if resilience else 'direct'}-retries{max_retries}",
+    )
+    for durability, resilience, max_retries in itertools.product(
+        (True, False), (True, False), (0, 2)
+    )
+]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -107,6 +128,20 @@ def test_recovery_replays_byte_identically(seed):
     # invariant sweep above still covers all 50.
     report = experiment(seed).verify_determinism(runs=2)
     assert report.ok, f"seed {seed}: {report.mismatches[:3]}"
+
+
+@pytest.mark.parametrize("durability,resilience,max_retries", STACKS)
+@pytest.mark.parametrize("seed", SEEDS[::13])
+def test_layer_stacks_keep_their_invariants(seed, durability, resilience,
+                                            max_retries):
+    stack = experiment(seed, durability, resilience, max_retries)
+    report = stack.run()
+    assert report.ok, f"seed {seed}:\n{report.summary()}"
+    if durability:
+        assert report.platform.kv.get("total") == INVOCATIONS
+    else:
+        determinism = stack.verify_determinism(runs=2)
+        assert determinism.ok, f"seed {seed}: {determinism.mismatches[:3]}"
 
 
 def test_different_seeds_explore_different_fault_schedules():

@@ -1,6 +1,6 @@
 """Crash recovery through the journal, and the duplicate-effect audit.
 
-Two halves.  The recovery manager: an injected fault past the retry
+Two halves.  Durable recovery: an injected fault past the retry
 budget re-drives the invocation off the journal (with backoff, without
 consuming the user's retry allowance), billing only the uncovered
 slices.  The audit (issue satellites): each known duplicate-side-effect
@@ -15,6 +15,7 @@ import pytest
 import taureau
 from taureau.chaos import (
     ChaosExperiment,
+    FaultInjected,
     FaultPlan,
     ResiliencePolicy,
     RetryPolicy,
@@ -23,6 +24,7 @@ from taureau.chaos import (
     no_double_billing,
     no_lost_acked_work,
 )
+from taureau.durable import DurabilityManager
 from taureau.pulsar import PulsarFunction
 
 
@@ -109,7 +111,35 @@ class TestRecoveryManager:
         assert not record.succeeded
         summary = app.durable.summary()
         assert summary["recoveries_exhausted"] == 1
-        assert summary["recoveries"] == 8  # the policy default cap
+        assert summary["recoveries"] == 8  # RECOVERY.max_attempts
+
+    def test_recovery_backoff_is_the_retry_policy_formula(self):
+        manager = DurabilityManager()
+        entry = manager.open_entry("fn")
+        fault = FaultInjected("crash", kind="sandbox_crash", component="faas")
+        delays = []
+        while manager.should_recover(entry, fault):
+            delays.append(manager.recovery_delay(entry))
+        assert delays == [0.5 * 2.0 ** n for n in range(8)]
+        with pytest.raises(TypeError):
+            taureau.Platform(seed=5).with_durability(manager)
+
+    def test_parked_work_takes_the_slot_during_recovery_backoff(self):
+        app = taureau.Platform(seed=5).with_durability()
+
+        @app.function("fn", max_retries=0, reserved_concurrency=1)
+        def fn(event, ctx):
+            ctx.charge(2.0)
+            return event
+
+        app.with_chaos(FaultPlan().crash_sandbox(at_s=1.0))
+        crashed = app.invoke("fn", "a")
+        parked = app.invoke("fn", "b")
+        app.run()
+        assert crashed.value.succeeded and parked.value.succeeded
+        # The crash frees the only slot at t=1; the parked call starts
+        # then, not after the recovered call re-dispatches at t=1.5.
+        assert parked.value.start_time < 1.5
 
     def test_resilience_and_durability_compose(self):
         experiment = ChaosExperiment(

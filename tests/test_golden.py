@@ -499,7 +499,6 @@ UNPINNED_BENCHES = {
     "bench_sanitizer_overhead": "E37: no pytest bench function; wall-clock overhead",
     "bench_chaos_overhead": "E38: no pytest bench function; wall-clock overhead",
     "bench_lint_scale": "E42: no pytest bench function; wall-clock lint times",
-    "bench_durable_recovery": "E43: no pytest bench function",
     "bench_seqcomp": "E18: runs for 21 s",
     "bench_control_plane": "E40: runs for 7.9 s",
     "bench_edge": "E31: runs for 4.1 s",
