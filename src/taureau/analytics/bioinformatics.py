@@ -8,7 +8,6 @@ pairs out to functions — speedup vs workers is experiment E18.
 
 from __future__ import annotations
 
-import itertools
 import random
 import typing
 
@@ -68,8 +67,6 @@ def smith_waterman_score(
 class AllPairsComparison:
     """Pairwise-compare a protein set with batched serverless tasks."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -83,7 +80,7 @@ class AllPairsComparison:
         self.platform = platform
         self.sequences = list(sequences)
         self.batch_size = batch_size
-        self.job_id = f"seqcomp{next(AllPairsComparison._ids)}"
+        self.job_id = f"seqcomp{next(platform.sim.ids('seqcomp'))}"
         self._task_name = f"{self.job_id}-align"
         self._register()
 

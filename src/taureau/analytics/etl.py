@@ -12,7 +12,6 @@ grid in the serverless database.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 import typing
 
@@ -62,8 +61,6 @@ class ExifHeatMapPipeline:
       (idempotent under platform retries via execute_once).
     """
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -77,7 +74,7 @@ class ExifHeatMapPipeline:
         self.blob = blob
         self.db = db
         self.grid_degrees = grid_degrees
-        self.job_id = f"etl{next(ExifHeatMapPipeline._ids)}"
+        self.job_id = f"etl{next(platform.sim.ids('etl'))}"
         if "heatmap" not in self.db.tables():
             self.db.create_table("heatmap")
         self._register()

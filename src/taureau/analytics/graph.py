@@ -15,7 +15,6 @@ propagation).
 
 from __future__ import annotations
 
-import itertools
 import typing
 
 import networkx as nx
@@ -108,8 +107,6 @@ def connected_components_program() -> VertexProgram:
 class PregelJob:
     """Drive a vertex program over serverless workers with Jiffy state."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -129,7 +126,7 @@ class PregelJob:
         self.workers = workers
         self.max_supersteps = max_supersteps
         self.supersteps_run = 0
-        self.job_id = f"pregel{next(PregelJob._ids)}"
+        self.job_id = f"pregel{next(platform.sim.ids('pregel'))}"
         self._task_name = f"{self.job_id}-worker"
         self._partitions = self._partition_vertices()
         self._compute_s_per_vertex = compute_s_per_vertex

@@ -13,7 +13,6 @@ The user API:
 
 from __future__ import annotations
 
-import itertools
 import typing
 
 from taureau.analytics.shuffle import ShuffleMedium, partition_pairs
@@ -87,8 +86,6 @@ class MapReduceJob:
         runs in zero simulated time; these model the testbed's compute).
     """
 
-    _job_ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -107,7 +104,7 @@ class MapReduceJob:
         self.map_fn = map_fn
         self.reduce_fn = reduce_fn
         self.partitions = partitions
-        self.job_id = f"mr{next(MapReduceJob._job_ids)}"
+        self.job_id = f"mr{next(platform.sim.ids('mr'))}"
         self._map_name = f"{self.job_id}-map"
         self._reduce_name = f"{self.job_id}-reduce"
         self._register(map_compute_s, reduce_compute_s, memory_mb)

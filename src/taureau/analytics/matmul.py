@@ -15,7 +15,6 @@ All numerics are real numpy; results are checked against ``A @ B``.
 
 from __future__ import annotations
 
-import itertools
 import typing
 
 import numpy as np
@@ -25,8 +24,6 @@ from taureau.core.platform import FaasPlatform
 from taureau.jiffy.client import JiffyClient
 
 __all__ = ["blocked_matmul", "strassen_matmul", "strassen_local"]
-
-_job_ids = itertools.count()
 
 #: Simulated sustained compute rate for a 1-vCPU function (FLOP/s).
 _FLOPS_PER_SECOND = 5e9
@@ -58,7 +55,7 @@ def blocked_matmul(
         raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
     if tile <= 0:
         raise ValueError("tile must be positive")
-    job = f"matmul{next(_job_ids)}"
+    job = f"matmul{next(platform.sim.ids('matmul'))}"
     path = f"/{job}/tiles"
     jiffy.create(path, "hash_table", initial_blocks=4, ttl_s=3600.0)
     row_tiles = -(-a.shape[0] // tile)
@@ -157,7 +154,7 @@ def strassen_matmul(
         raise ValueError("strassen_matmul needs equal square matrices")
     if a.shape[0] % (2 ** levels) != 0:
         raise ValueError(f"matrix size must be divisible by 2^levels ({2 ** levels})")
-    job = f"strassen{next(_job_ids)}"
+    job = f"strassen{next(platform.sim.ids('strassen'))}"
     path = f"/{job}/leaves"
     jiffy.create(path, "hash_table", initial_blocks=4, ttl_s=3600.0)
     platform.wire_service("jiffy", jiffy)

@@ -14,7 +14,6 @@ pools the batch moments into an estimate with a standard error, so the
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import typing
 
@@ -79,8 +78,6 @@ def european_call_estimator(
 class MonteCarloJob:
     """Distribute sample batches over serverless tasks and pool moments."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -94,7 +91,7 @@ class MonteCarloJob:
         self.estimator = estimator
         self.samples_per_task = samples_per_task
         self.seed = seed
-        self.job_id = f"mc{next(MonteCarloJob._ids)}"
+        self.job_id = f"mc{next(platform.sim.ids('mc'))}"
         self._task_name = f"{self.job_id}-batch"
         self._register()
 

@@ -16,7 +16,6 @@ All sorting is real; output is validated against ``sorted()``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import typing
@@ -33,8 +32,6 @@ _RECORDS_PER_SECOND = 2e6
 
 class ServerlessSort:
     """Distributed sample-sort over a FaaS platform."""
-
-    _ids = itertools.count()
 
     def __init__(
         self,
@@ -53,7 +50,7 @@ class ServerlessSort:
         self.partitions = partitions
         self.sample_rate = sample_rate
         self.key_fn = key_fn or (lambda record: record)
-        self.job_id = f"sort{next(ServerlessSort._ids)}"
+        self.job_id = f"sort{next(platform.sim.ids('sort'))}"
         self._map_name = f"{self.job_id}-partition"
         self._reduce_name = f"{self.job_id}-sort"
         self.splitters: list = []

@@ -14,7 +14,6 @@ from a pixels-per-second cost model.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 import zlib
 
@@ -64,8 +63,6 @@ def single_node_encode_time_s(video: SyntheticVideo) -> float:
 class VideoPipeline:
     """Parallel encode + serial stitch over a FaaS platform."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -77,7 +74,7 @@ class VideoPipeline:
         self.jiffy = jiffy
         self.video = video
         self.chunk_frames = chunk_frames
-        self.job_id = f"video{next(VideoPipeline._ids)}"
+        self.job_id = f"video{next(platform.sim.ids('video'))}"
         self._encode_name = f"{self.job_id}-encode"
         self._stitch_name = f"{self.job_id}-stitch"
         self._register()

@@ -190,8 +190,4 @@ class BlobStore:
         if ctx is None:
             return
         latency = self.operation_latency_s(size_mb)
-        charge_io = getattr(ctx, "charge_io", None)
-        if charge_io is not None:
-            charge_io(latency, f"baas.blob.{op}", store=self.name, key=key)
-        else:
-            ctx.add_io(latency)
+        ctx.charge_io(latency, f"baas.blob.{op}", store=self.name, key=key)

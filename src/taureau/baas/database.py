@@ -250,4 +250,4 @@ class ServerlessDatabase:
 
     def _charge(self, ctx, size_mb: float) -> None:
         if ctx is not None:
-            ctx.add_io(self.calibration.kv_transfer_latency(size_mb))
+            ctx.charge(self.calibration.kv_transfer_latency(size_mb))

@@ -174,8 +174,4 @@ class KvStore:
         if ctx is None:
             return
         latency = self.calibration.kv_transfer_latency(size_mb)
-        charge_io = getattr(ctx, "charge_io", None)
-        if charge_io is not None:
-            charge_io(latency, f"baas.kv.{op}", store=self.name, key=key)
-        else:
-            ctx.add_io(latency)
+        ctx.charge_io(latency, f"baas.kv.{op}", store=self.name, key=key)

@@ -67,7 +67,7 @@ class NotificationService:
     def _publish(self, topic: str, message: object, ctx) -> int:
         subscribers = self._topic(topic)
         if ctx is not None:
-            ctx.add_io(self.calibration.kv_base_latency_s)
+            ctx.charge(self.calibration.kv_base_latency_s)
         self.metrics.counter("published").add()
         for callback in subscribers:
             self.sim.schedule_after(

@@ -509,8 +509,4 @@ class ChaosController:
     def _charge(ctx, seconds: float, label: str) -> None:
         if ctx is None or seconds <= 0:
             return
-        charge_io = getattr(ctx, "charge_io", None)
-        if charge_io is not None:
-            charge_io(seconds, label)
-        else:
-            ctx.add_io(seconds)
+        ctx.charge_io(seconds, label)

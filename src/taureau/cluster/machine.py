@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import typing
 
 from taureau.cluster.resources import InsufficientResources, ResourceVector
@@ -36,15 +35,9 @@ class Allocation:
 class Machine:
     """A physical host with a fixed resource capacity."""
 
-    _ids = itertools.count()
-
-    def __init__(
-        self,
-        capacity: ResourceVector,
-        machine_id: typing.Optional[str] = None,
-    ):
+    def __init__(self, capacity: ResourceVector, machine_id: str):
         self.capacity = capacity
-        self.machine_id = machine_id or f"m{next(Machine._ids)}"
+        self.machine_id = machine_id
         self.used = ResourceVector()
         self.allocations: set = set()
 
@@ -98,13 +91,7 @@ class Cluster:
     def homogeneous(
         cls, count: int, cpu_cores: float = 16.0, memory_mb: float = 65536.0
     ) -> "Cluster":
-        """A cluster of ``count`` identical machines.
-
-        Machine ids are cluster-local (``m0`` ... ``m<count-1>``) rather
-        than drawn from the process-global counter, so same-seed
-        platforms built in one process agree on machine names — the run
-        recorder's byte-stability contract depends on it.
-        """
+        """A cluster of ``count`` identical machines, ``m0`` ... ``m<count-1>``."""
         capacity = ResourceVector(cpu_cores=cpu_cores, memory_mb=memory_mb)
         return cls(
             Machine(capacity, machine_id=f"m{index}") for index in range(count)

@@ -26,17 +26,14 @@ from taureau.core.reporting import CostReport, FunctionUsage
 from taureau.core.vmfleet import AutoscalerPolicy, VmFleet
 from taureau.core.workload import (
     bursty_arrivals,
-    bursty_arrivals_vec,
     collect,
     constant_arrivals,
     diurnal_arrivals,
-    diurnal_arrivals_vec,
     peak_to_mean_ratio,
     poisson_arrivals,
     poisson_arrivals_vec,
     replay,
     spike_arrivals,
-    spike_arrivals_vec,
 )
 
 __all__ = [
@@ -65,11 +62,8 @@ __all__ = [
     "poisson_arrivals",
     "poisson_arrivals_vec",
     "diurnal_arrivals",
-    "diurnal_arrivals_vec",
     "bursty_arrivals",
-    "bursty_arrivals_vec",
     "spike_arrivals",
-    "spike_arrivals_vec",
     "replay",
     "collect",
     "peak_to_mean_ratio",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
-import itertools
 import typing
 
 __all__ = [
@@ -178,9 +177,6 @@ class InvocationContext:
             raise ValueError(f"cannot charge negative time: {seconds}")
         self._accrued += seconds
 
-    # Service clients call this; handlers normally never need to.
-    add_io = charge
-
     def effect(self, key: str, fn):
         """Run ``fn`` exactly once across retries of this invocation.
 
@@ -268,8 +264,6 @@ class InvocationContext:
 class InvocationRecord:
     """The full life-cycle record of one invocation."""
 
-    _ids = itertools.count()
-
     invocation_id: str
     function_name: str
     payload: object
@@ -290,10 +284,6 @@ class InvocationRecord:
     #: Carried on both the async event's record and the ``invoke_sync``
     #: return value — the two paths resolve to the same record object.
     trace_id: str = ""
-
-    @classmethod
-    def fresh_id(cls) -> str:
-        return f"inv{next(cls._ids)}"
 
     @property
     def execution_duration_s(self) -> float:

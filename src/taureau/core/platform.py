@@ -88,20 +88,15 @@ class PlatformConfig:
 class Sandbox:
     """A provisioned execution environment for one function."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         spec: FunctionSpec,
         machine: typing.Optional[Machine],
         allocation,
         created_at: float,
-        sandbox_id: typing.Optional[str] = None,
+        sandbox_id: str,
     ):
-        # Platforms pass their own per-instance id so that two same-seed
-        # platforms in one process mint identical (replayable) ids; the
-        # global counter is only the standalone-construction fallback.
-        self.sandbox_id = sandbox_id or f"sb{next(Sandbox._ids)}"
+        self.sandbox_id = sandbox_id
         self.spec = spec
         self.machine = machine
         self.allocation = allocation
@@ -365,10 +360,8 @@ class FaasPlatform:
         self._concurrency_overrides: dict = {}
         self._per_function: dict = {}  # name -> _FunctionState
         self._cold_rng = sim.rng.stream("platform.cold_start")
-        # Per-platform id mints keep invocation/sandbox ids replayable
-        # across same-seed platforms within one process.
-        self._invocation_ids = itertools.count()
-        self._sandbox_ids = itertools.count()
+        self._invocation_ids = sim.ids("inv")
+        self._sandbox_ids = sim.ids("sb")
         #: Installed by :meth:`with_resilience`; ``None`` keeps the bare
         #: invoke path (one attribute check per invocation).
         self._resilience = None

@@ -7,14 +7,16 @@ by explicit RNGs so traces are reproducible.
 
 Two families live here:
 
-- the original scalar generators (``poisson_arrivals`` & co.), drawing
-  one ``random.Random`` variate per event — fine up to ~1e5 arrivals;
-- vectorized ``*_vec`` twins drawing whole numpy blocks
-  (cumsum-of-exponentials, vectorized Lewis–Shedler thinning) that
-  generate tens of millions of arrivals per second and return float64
-  arrays ready for :meth:`~taureau.sim.Simulation.schedule_many`.
+- the scalar generators (``poisson_arrivals`` & co.), drawing one
+  ``random.Random`` variate per event — fine up to ~1e5 arrivals;
+- :func:`poisson_arrivals_vec` and its Lewis–Shedler thinning twin
+  ``_thinned_poisson_vec``, drawing whole numpy blocks
+  (cumsum-of-exponentials, vectorized thinning) that generate tens of
+  millions of arrivals per second and return float64 arrays ready for
+  :meth:`~taureau.sim.Simulation.schedule_many`.  The trace generator
+  (:mod:`taureau.workload`) draws every arrival through these two.
 
-Each ``*_vec`` generator documents its **draw protocol** — the exact
+Each vectorized generator documents its **draw protocol** — the exact
 sequence of block draws it takes from its ``numpy.random.Generator`` —
 because that protocol *is* the determinism contract: a scalar loop
 following the same protocol on the same seeded stream reproduces the
@@ -44,11 +46,8 @@ __all__ = [
     "poisson_arrivals",
     "poisson_arrivals_vec",
     "diurnal_arrivals",
-    "diurnal_arrivals_vec",
     "bursty_arrivals",
-    "bursty_arrivals_vec",
     "spike_arrivals",
-    "spike_arrivals_vec",
     "replay",
     "collect",
     "peak_to_mean_ratio",
@@ -149,15 +148,6 @@ def _thinned_poisson_vec(rng, rate_vec, max_rate: float, horizon: float) -> nump
     return candidates[uniforms <= rate_vec(candidates) / max_rate]
 
 
-def _diurnal_rate(base_rate: float, amplitude: float, period: float):
-    """The sinusoidal instantaneous rate, usable on scalars and arrays."""
-
-    def rate(t):
-        return base_rate + amplitude * (1.0 + numpy.sin(2.0 * numpy.pi * t / period)) / 2.0
-
-    return rate
-
-
 def diurnal_arrivals(
     rng: random.Random,
     base_rate: float,
@@ -179,20 +169,6 @@ def diurnal_arrivals(
         return base_rate + amplitude * (1.0 + math.sin(2 * math.pi * t / period)) / 2.0
 
     return _thinned_poisson(rng, rate, peak_rate, horizon)
-
-
-def diurnal_arrivals_vec(
-    rng,
-    base_rate: float,
-    peak_rate: float,
-    period: float,
-    horizon: float,
-) -> numpy.ndarray:
-    """Vectorized :func:`diurnal_arrivals` (thinning draw protocol)."""
-    if peak_rate < base_rate:
-        raise ValueError("peak_rate must be >= base_rate")
-    rate = _diurnal_rate(base_rate, peak_rate - base_rate, period)
-    return _thinned_poisson_vec(rng, rate, peak_rate, horizon)
 
 
 def bursty_arrivals(
@@ -221,66 +197,6 @@ def bursty_arrivals(
     return arrivals
 
 
-def bursty_arrivals_vec(
-    rng,
-    on_rate: float,
-    mean_on_s: float,
-    mean_off_s: float,
-    horizon: float,
-) -> numpy.ndarray:
-    """Vectorized on/off (interrupted Poisson) process.
-
-    Uses the compressed-time trick instead of thinning: concatenate the
-    ON windows into one contiguous timeline, run a homogeneous Poisson
-    process of ``on_rate`` over it, and map each arrival back to its
-    window — by the memorylessness of the exponential this has the same
-    law as the scalar generator, with zero rejected candidates.
-
-    Draw protocol: ``rng.spawn(3)`` → (ON-duration child, OFF-duration
-    child, arrival child).  ON and OFF windows are block-drawn
-    exponentials from their own children until the cycles cover
-    ``horizon``; compressed arrivals then follow the
-    :func:`poisson_arrivals_vec` protocol on the third child over the
-    total clipped ON time.
-    """
-    if mean_on_s <= 0 or mean_off_s <= 0:
-        raise ValueError("mean_on_s and mean_off_s must be positive")
-    if on_rate <= 0 or horizon <= 0:
-        return numpy.empty(0, dtype=numpy.float64)
-    on_rng, off_rng, arrival_rng = rng.spawn(3)
-    cycle = mean_on_s + mean_off_s
-    block = max(4, int(horizon / cycle + 4.0 * math.sqrt(horizon / cycle + 1.0)) + 4)
-    ons = on_rng.exponential(mean_on_s, size=block)
-    offs = off_rng.exponential(mean_off_s, size=block)
-    while True:
-        # Alternate ON/OFF half-windows on the absolute timeline.
-        durations = numpy.empty(ons.size * 2, dtype=numpy.float64)
-        durations[0::2] = ons
-        durations[1::2] = offs
-        bounds = numpy.cumsum(durations)
-        if bounds[-1] >= horizon:
-            break
-        ons = numpy.concatenate([ons, on_rng.exponential(mean_on_s, size=block)])
-        offs = numpy.concatenate([offs, off_rng.exponential(mean_off_s, size=block)])
-    on_starts = numpy.concatenate([[0.0], bounds[1::2][:-1]])
-    on_ends = bounds[0::2]
-    # Clip windows to the horizon and lay them end to end (compressed time).
-    lengths = numpy.clip(
-        numpy.minimum(on_ends, horizon) - numpy.minimum(on_starts, horizon),
-        0.0,
-        None,
-    )
-    offsets = numpy.cumsum(lengths)
-    total_on = float(offsets[-1])
-    compressed = poisson_arrivals_vec(arrival_rng, on_rate, total_on)
-    if compressed.size == 0:
-        return compressed
-    window = numpy.searchsorted(offsets, compressed, side="right")
-    window_base = numpy.concatenate([[0.0], offsets])[window]
-    absolute = on_starts[window] + (compressed - window_base)
-    return absolute[absolute < horizon]
-
-
 def spike_arrivals(
     rng: random.Random,
     base_rate: float,
@@ -297,23 +213,6 @@ def spike_arrivals(
         return base_rate
 
     return _thinned_poisson(rng, rate, max(base_rate, spike_rate), horizon)
-
-
-def spike_arrivals_vec(
-    rng,
-    base_rate: float,
-    spike_rate: float,
-    spike_start: float,
-    spike_duration: float,
-    horizon: float,
-) -> numpy.ndarray:
-    """Vectorized :func:`spike_arrivals` (thinning draw protocol)."""
-
-    def rate(t):
-        in_spike = (t >= spike_start) & (t < spike_start + spike_duration)
-        return numpy.where(in_spike, spike_rate, base_rate)
-
-    return _thinned_poisson_vec(rng, rate, max(base_rate, spike_rate), horizon)
 
 
 def replay(

@@ -19,7 +19,6 @@ is experiment E31.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 
 from taureau.core.function import FunctionSpec
@@ -40,8 +39,6 @@ __all__ = [
 class EdgeSite:
     """One capacity-constrained point of presence near the devices."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -52,7 +49,7 @@ class EdgeSite:
     ):
         if uplink_rtt_s < 0 or uplink_mb_s <= 0 or local_rtt_s < 0:
             raise ValueError("invalid edge-site network parameters")
-        self.name = name or f"edge{next(EdgeSite._ids)}"
+        self.name = name or f"edge{next(platform.sim.ids('edge'))}"
         self.platform = platform
         self.uplink_rtt_s = uplink_rtt_s
         self.uplink_mb_s = uplink_mb_s

@@ -11,7 +11,6 @@ state is reclaimed.
 
 from __future__ import annotations
 
-import itertools
 import typing
 
 from taureau.sim import MetricRegistry, Simulation
@@ -61,10 +60,8 @@ class DataLost(Exception):
 class Block:
     """One fixed-size unit of remote memory."""
 
-    _ids = itertools.count()
-
-    def __init__(self, node: "MemoryNode", capacity_mb: float):
-        self.block_id = f"b{next(Block._ids)}"
+    def __init__(self, node: "MemoryNode", capacity_mb: float, block_id: str):
+        self.block_id = block_id
         self.node = node
         self.capacity_mb = capacity_mb
         self.used_mb = 0.0
@@ -102,18 +99,14 @@ def _tenant_of(owner: str) -> str:
 class MemoryNode:
     """A storage server contributing blocks to the shared pool."""
 
-    _ids = itertools.count()
-
-    def __init__(
-        self,
-        block_count: int,
-        block_size_mb: float,
-        node_id: typing.Optional[str] = None,
-    ):
-        self.node_id = node_id or f"mn{next(MemoryNode._ids)}"
+    def __init__(self, block_count: int, block_size_mb: float, node_id: str):
+        self.node_id = node_id
         self.block_size_mb = block_size_mb
         self.alive = True
-        self.blocks = [Block(self, block_size_mb) for _ in range(block_count)]
+        self.blocks = [
+            Block(self, block_size_mb, f"{node_id}.b{index}")
+            for index in range(block_count)
+        ]
 
     @property
     def capacity_mb(self) -> float:
@@ -140,9 +133,6 @@ class BlockPool:
             raise ValueError("pool dimensions must be positive")
         self.sim = sim
         self.block_size_mb = block_size_mb
-        # Explicit pool-local ids: the global MemoryNode counter would
-        # make same-seed runs in one process disagree on node names,
-        # which run artifacts (taureau.obs.record) must not.
         self.nodes = [
             MemoryNode(blocks_per_node, block_size_mb, node_id=f"mn{index}")
             for index in range(node_count)

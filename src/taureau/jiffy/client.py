@@ -149,8 +149,4 @@ class JiffyClient:
             latency = self._calibration.zookeeper_op_s
         else:
             latency = self._calibration.memory_transfer_latency(size_mb)
-        charge_io = getattr(ctx, "charge_io", None)
-        if charge_io is not None:
-            charge_io(latency, f"jiffy.{op}", path=path, size_mb=size_mb)
-        else:
-            ctx.add_io(latency)
+        ctx.charge_io(latency, f"jiffy.{op}", path=path, size_mb=size_mb)

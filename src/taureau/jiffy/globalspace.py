@@ -15,15 +15,11 @@ here against Jiffy's per-namespace hash tables.
 from __future__ import annotations
 
 import collections
-import hashlib
 import typing
 
+from taureau.sim import stable_hash
+
 __all__ = ["GlobalAddressSpace"]
-
-
-def _stable_hash(key: str) -> int:
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 class GlobalAddressSpace:
@@ -82,4 +78,4 @@ class GlobalAddressSpace:
         return dict(moved)
 
     def _partition(self, address: typing.Tuple[str, str]) -> int:
-        return _stable_hash(f"{address[0]}/{address[1]}") % self.partitions
+        return stable_hash(f"{address[0]}/{address[1]}") % self.partitions

@@ -9,19 +9,13 @@ measured quantity in the isolation experiment (E6).
 
 from __future__ import annotations
 
-import hashlib
 import typing
 
 from taureau.baas.sizing import estimate_size_mb
 from taureau.jiffy.blocks import Block
+from taureau.sim import stable_hash
 
 __all__ = ["BlockAllocator", "JiffyFile", "JiffyQueue", "JiffyHashTable"]
-
-
-def _stable_hash(key: str) -> int:
-    """A seed-independent hash (Python's builtin is randomized per run)."""
-    digest = hashlib.blake2b(str(key).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 class BlockAllocator:
@@ -320,7 +314,7 @@ class JiffyHashTable(_Structure):
         capacity = self.blocks[0].capacity_mb
         loads = [0.0] * block_count
         for key, (__, size) in self._data.items():
-            loads[_stable_hash(key) % block_count] += size
+            loads[stable_hash(key) % block_count] += size
         if any(load > capacity + 1e-12 for load in loads):
             raise ValueError(
                 f"data does not fit in {block_count} blocks "
@@ -356,7 +350,7 @@ class JiffyHashTable(_Structure):
         )
 
     def _partition(self, key: str) -> int:
-        return _stable_hash(key) % len(self.blocks)
+        return stable_hash(key) % len(self.blocks)
 
     def _remove_from_block(self, key: str) -> None:
         __, size = self._data[key]

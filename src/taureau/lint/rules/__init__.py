@@ -25,6 +25,7 @@ TAU014   fs-order                    sort directory listings
 TAU015   builtin-hash-order          hash() varies with PYTHONHASHSEED
 TAU016   print-in-library            report via metrics/traces
 TAU017   swallowed-fault             injected faults must propagate
+TAU018   process-global-counter      ids come from sim.ids(kind)
 =======  ==========================  ==================================
 """
 
@@ -51,6 +52,7 @@ from taureau.lint.rules.ordering import (
 from taureau.lint.rules.randomness import (
     GlobalRandomRule,
     PrintInLibraryRule,
+    ProcessGlobalCounterRule,
     RealIoInHandlerRule,
     UnseededRngRule,
 )
@@ -75,6 +77,7 @@ _RULE_CLASSES = (
     BuiltinHashRule,
     PrintInLibraryRule,
     SwallowedFaultRule,
+    ProcessGlobalCounterRule,
 )
 
 

@@ -1,10 +1,13 @@
-"""TAU002 / TAU010 / TAU004 / TAU016 — seeded randomness and pure handlers.
+"""TAU002 / TAU010 / TAU018 / TAU004 / TAU016 — seeded randomness, owned
+ids and pure handlers.
 
 All randomness in the library flows through ``sim.rng.stream(name)`` so
 that adding one consumer never perturbs another's draws.  Module-global
 ``random.*`` calls, ``uuid.uuid4`` and unseeded generator constructors
 all break that contract silently — the trace still *looks* fine, it is
-just different every run.
+just different every run.  Ids come from ``sim.ids(kind)`` for the same
+reason: a counter shared by the whole process hands a second same-seed
+run different job names, and some of those names name RNG streams.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from taureau.lint.engine import FileContext, Finding, Rule
 __all__ = [
     "GlobalRandomRule",
     "UnseededRngRule",
+    "ProcessGlobalCounterRule",
     "RealIoInHandlerRule",
     "PrintInLibraryRule",
 ]
@@ -58,7 +62,7 @@ class GlobalRandomRule(Rule):
                     self,
                     node,
                     f"{resolved}() is fresh entropy every run; mint ids from "
-                    "a per-instance counter or a seeded stream",
+                    "sim.ids(kind) or draw from a seeded stream",
                 )
             elif resolved.startswith("secrets."):
                 yield ctx.finding(
@@ -106,6 +110,36 @@ class UnseededRngRule(Rule):
                     f"{resolved}() without a seed falls back to OS entropy; "
                     "pass a seed derived from sim.rng (e.g. numpy_seed(name))",
                 )
+
+
+class ProcessGlobalCounterRule(Rule):
+    code = "TAU018"
+    name = "process-global-counter"
+    summary = "An itertools.count() shared by every simulation in the process."
+    default_includes = ("src/", "scripts/")
+
+    def check(self, ctx: FileContext) -> typing.Iterator[Finding]:
+        # Everything outside a function or lambda body runs once, at
+        # import or class creation (default arguments included).
+        pending: list = [ctx.tree]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                pending.extend(node.decorator_list)
+                pending.append(node.args)
+                continue
+            if isinstance(node, ast.Lambda):
+                pending.append(node.args)
+                continue
+            if isinstance(node, ast.Call) and ctx.resolve(node.func) == "itertools.count":
+                yield ctx.finding(
+                    self,
+                    node,
+                    "a module- or class-level itertools.count() is shared by "
+                    "every simulation in the process, so a second same-seed "
+                    "run mints different ids; draw from sim.ids(kind)",
+                )
+            pending.extend(ast.iter_child_nodes(node))
 
 
 _IO_PREFIXES = (

@@ -19,7 +19,6 @@ model.
 
 from __future__ import annotations
 
-import itertools
 import typing
 
 import numpy as np
@@ -28,8 +27,6 @@ from taureau.core.function import FunctionSpec
 from taureau.core.platform import FaasPlatform
 
 __all__ = ["StragglerModel", "coded_matvec", "uncoded_matvec"]
-
-_ids = itertools.count()
 
 #: Simulated matvec rate (matrix cells per second), calibrated to
 #: interpreted-Python throughput on a 1-vCPU sandbox — the regime the
@@ -70,7 +67,7 @@ def _run_matvec_tasks(
     ``{shard_index: partial_y}`` for the first ``wait_for`` finishers.
     """
     sim = platform.sim
-    task_name = f"{label}{next(_ids)}"
+    task_name = f"{label}{next(sim.ids(label))}"
 
     def matvec_task(event, ctx):
         shard = shards[event["shard"]]

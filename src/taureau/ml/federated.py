@@ -11,7 +11,6 @@ simulated device compute/upload costs, genuine convergence.
 
 from __future__ import annotations
 
-import itertools
 import typing
 
 import numpy as np
@@ -77,8 +76,6 @@ class FederatedAveraging:
     numpy), and average the returned weights by sample count.
     """
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -101,7 +98,7 @@ class FederatedAveraging:
         self.local_epochs = local_epochs
         self.participation = participation
         self.l2 = l2
-        self.job_id = f"fedavg{next(FederatedAveraging._ids)}"
+        self.job_id = f"fedavg{next(platform.sim.ids('fedavg'))}"
         self._device_fn = f"{self.job_id}-device"
         self._rng = platform.sim.rng.stream(f"{self.job_id}.sampling")
         self.history: list = []

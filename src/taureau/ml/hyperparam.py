@@ -17,9 +17,6 @@ from taureau.core.platform import FaasPlatform
 
 __all__ = ["grid", "HyperparameterSearch"]
 
-_ids = itertools.count()
-
-
 def grid(**axes: typing.Sequence) -> list:
     """The cross product of named axes as a list of config dicts.
 
@@ -49,7 +46,7 @@ class HyperparameterSearch:
         self.platform = platform
         self.train_fn = train_fn
         self.cost_fn = cost_fn or (lambda config, budget: 1.0 * budget)
-        self.task_name = f"hptune{next(_ids)}"
+        self.task_name = f"hptune{next(platform.sim.ids('hptune'))}"
         self.trials: list = []
         self._register(memory_mb)
 

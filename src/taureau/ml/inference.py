@@ -18,7 +18,6 @@ measures latency with/without the cache and pre-warming.
 from __future__ import annotations
 
 import collections
-import itertools
 import typing
 
 import numpy as np
@@ -80,8 +79,6 @@ class ModelCache:
 class InferenceService:
     """A deployed model endpoint with optional pre-warming."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -93,7 +90,7 @@ class InferenceService:
         self.platform = platform
         self.model = model
         self.cache = cache
-        self.endpoint = f"infer{next(InferenceService._ids)}"
+        self.endpoint = f"infer{next(platform.sim.ids('infer'))}"
         self._register(compute_s_per_request, memory_mb)
 
     def _register(self, compute_s_per_request: float, memory_mb: float) -> None:

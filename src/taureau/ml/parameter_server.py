@@ -13,7 +13,6 @@ ephemeral state — falls out as time-to-accuracy.
 
 from __future__ import annotations
 
-import itertools
 import typing
 
 import numpy as np
@@ -101,8 +100,6 @@ class ServerlessTrainingJob:
     simulated wall clock.
     """
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         platform: FaasPlatform,
@@ -122,7 +119,7 @@ class ServerlessTrainingJob:
         self.learning_rate = learning_rate
         self.l2 = l2
         self.epochs = epochs
-        self.job_id = f"train{next(ServerlessTrainingJob._ids)}"
+        self.job_id = f"train{next(platform.sim.ids('train'))}"
         self._worker_name = f"{self.job_id}-grad"
         self.history: list = []
         self._register()

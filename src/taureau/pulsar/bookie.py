@@ -16,7 +16,6 @@ replication factor.
 
 from __future__ import annotations
 
-import itertools
 import math
 import typing
 
@@ -58,20 +57,15 @@ class Bookie:
     completeness, so crash is modelled as unavailability.
     """
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         sim: Simulation,
         append_latency_s: float = 0.002,
         max_throughput_eps: float = 50_000.0,
-        bookie_id: typing.Optional[str] = None,
     ):
         if max_throughput_eps <= 0:
             raise ValueError("max_throughput_eps must be positive")
-        # Clusters pass a per-cluster id so same-seed runs replay with
-        # identical ids; the global counter is the standalone fallback.
-        self.bookie_id = bookie_id or f"bk{next(Bookie._ids)}"
+        self.bookie_id = f"bk{next(sim.ids('bk'))}"
         self.sim = sim
         self.append_latency_s = append_latency_s
         self.admission_interval_s = 1.0 / max_throughput_eps
@@ -116,15 +110,12 @@ class Bookie:
 class Ledger:
     """An append-only, replicated, single-writer log."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         sim: Simulation,
         bookies: typing.Sequence[Bookie],
         write_quorum: int = 2,
         ack_quorum: int = 2,
-        ledger_id: typing.Optional[int] = None,
     ):
         if not bookies:
             raise ValueError("a ledger needs at least one bookie")
@@ -133,7 +124,8 @@ class Ledger:
                 f"need 1 <= ack_quorum({ack_quorum}) <= write_quorum"
                 f"({write_quorum}) <= ensemble({len(bookies)})"
             )
-        self.ledger_id = ledger_id if ledger_id is not None else next(Ledger._ids)
+        # An int, not a string: MessageId orders by (ledger_id, entry_id).
+        self.ledger_id = next(sim.ids("ledger"))
         self.sim = sim
         self.ensemble = list(bookies)
         self.write_quorum = write_quorum

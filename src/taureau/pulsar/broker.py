@@ -15,7 +15,6 @@ a fresh one (single-writer semantics).
 
 from __future__ import annotations
 
-import itertools
 import math
 import typing
 
@@ -87,8 +86,6 @@ class _TopicMetrics:
 class Broker:
     """Receives, persists and dispatches messages for its topics."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         sim: Simulation,
@@ -96,12 +93,8 @@ class Broker:
         write_quorum: int = 2,
         ack_quorum: int = 2,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        broker_id: typing.Optional[str] = None,
-        ledger_ids: typing.Optional[typing.Iterator[int]] = None,
     ):
-        # Clusters pass a per-cluster id so same-seed runs replay with
-        # identical ids; the global counter is the standalone fallback.
-        self.broker_id = broker_id or f"broker{next(Broker._ids)}"
+        self.broker_id = f"broker{next(sim.ids('broker'))}"
         self.sim = sim
         self.bookies = list(bookies)
         self.write_quorum = min(write_quorum, len(self.bookies))
@@ -119,10 +112,6 @@ class Broker:
         #: acks this broker already scheduled still count in its registry.
         self._topic_metrics: typing.Dict[str, _TopicMetrics] = {}
         self._next_free = 0.0
-        # Clusters share one counter across their brokers so ledger ids
-        # stay unique and replayable; standalone brokers fall back to
-        # the global Ledger counter.
-        self._ledger_ids = ledger_ids
 
     # ------------------------------------------------------------------
     # Topic ownership
@@ -150,9 +139,6 @@ class Broker:
             self.bookies,
             write_quorum=self.write_quorum,
             ack_quorum=self.ack_quorum,
-            ledger_id=(
-                next(self._ledger_ids) if self._ledger_ids is not None else None
-            ),
         )
 
     # ------------------------------------------------------------------

@@ -9,7 +9,6 @@ topics to survivors (brokers are stateless; ledgers survive).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import typing
 
@@ -18,14 +17,9 @@ from taureau.pulsar.bookie import Bookie
 from taureau.pulsar.broker import Broker
 from taureau.pulsar.metadata import MetadataStore
 from taureau.pulsar.topic import Consumer, SubscriptionType
-from taureau.sim import AllOf, Event, Simulation
+from taureau.sim import AllOf, Event, Simulation, stable_hash
 
 __all__ = ["Producer", "PulsarCluster"]
-
-
-def _route_hash(key: str) -> int:
-    digest = hashlib.blake2b(str(key).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 class Producer:
@@ -54,7 +48,7 @@ class Producer:
         """
         partitions = self.cluster.partitions_of(self.topic)
         if key is not None:
-            index = _route_hash(key) % len(partitions)
+            index = stable_hash(key) % len(partitions)
         else:
             index = next(self._rr) % len(partitions)
         partition_name = partitions[index]
@@ -82,14 +76,9 @@ class PulsarCluster:
         self.calibration = calibration
         self.metadata = MetadataStore(sim, calibration)
         self.bookies = [
-            Bookie(
-                sim,
-                append_latency_s=calibration.bookie_append_s,
-                bookie_id=f"bk{index}",
-            )
-            for index in range(bookie_count)
+            Bookie(sim, append_latency_s=calibration.bookie_append_s)
+            for _ in range(bookie_count)
         ]
-        ledger_ids = itertools.count()
         self.brokers = [
             Broker(
                 sim,
@@ -97,10 +86,8 @@ class PulsarCluster:
                 write_quorum=write_quorum,
                 ack_quorum=ack_quorum,
                 calibration=calibration,
-                broker_id=f"broker{index}",
-                ledger_ids=ledger_ids,
             )
-            for index in range(broker_count)
+            for _ in range(broker_count)
         ]
         # Brokers are fixed after construction.
         self._brokers_by_id = {broker.broker_id: broker for broker in self.brokers}

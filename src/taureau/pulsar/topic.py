@@ -15,11 +15,9 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-import hashlib
-import itertools
 import typing
 
-from taureau.sim import Event, Simulation
+from taureau.sim import Event, Simulation, stable_hash
 
 __all__ = ["SubscriptionType", "MessageId", "Message", "Consumer", "Subscription"]
 
@@ -56,15 +54,8 @@ class Message:
     trace: typing.Optional[object] = None
 
 
-def _key_hash(key: str) -> int:
-    digest = hashlib.blake2b(str(key).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 class Consumer:
     """A subscriber endpoint: an inbox plus optional push listener."""
-
-    _ids = itertools.count()
 
     def __init__(
         self,
@@ -72,7 +63,7 @@ class Consumer:
         subscription: "Subscription",
         listener: typing.Optional[typing.Callable[[Message, "Consumer"], None]] = None,
     ):
-        self.consumer_id = f"c{next(Consumer._ids)}"
+        self.consumer_id = f"c{next(sim.ids('c'))}"
         self.sim = sim
         self.subscription = subscription
         self.listener = listener
@@ -193,7 +184,7 @@ class Subscription:
             return consumer
         # KEY_SHARED: stable key -> consumer mapping.
         key = message.key if message.key is not None else str(message.message_id)
-        return live[_key_hash(key) % len(live)]
+        return live[stable_hash(key) % len(live)]
 
     def _redeliver(self, message: Message) -> None:
         self.dispatch(message)

@@ -12,7 +12,6 @@ byte scanned* — predicate selectivity changes the answer, not the bill
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 
 from taureau.baas.blobstore import BlobStore
@@ -46,13 +45,11 @@ class QueryResult:
 class ServerlessQueryEngine:
     """Parse → plan → fan out scans → merge, over blob-stored tables."""
 
-    _ids = itertools.count()
-
     def __init__(self, platform: FaasPlatform, catalog: TableCatalog):
         self.platform = platform
         self.catalog = catalog
         self.metrics = MetricRegistry()
-        self._scan_name = f"athena{next(ServerlessQueryEngine._ids)}-scan"
+        self._scan_name = f"athena{next(platform.sim.ids('athena'))}-scan"
         self._register()
 
     def _register(self) -> None:

@@ -21,7 +21,7 @@ from taureau.sim.metrics import (
     MetricRegistry,
     TimeSeries,
 )
-from taureau.sim.rng import RngRegistry, derive_seed
+from taureau.sim.rng import RngRegistry, derive_seed, stable_hash
 
 __all__ = [
     "Simulation",
@@ -43,4 +43,5 @@ __all__ = [
     "MetricRegistry",
     "RngRegistry",
     "derive_seed",
+    "stable_hash",
 ]

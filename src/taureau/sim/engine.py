@@ -25,6 +25,7 @@ same order the seed kernel's one-push-per-event heap produced.
 from __future__ import annotations
 
 import heapq
+import itertools
 import typing
 
 from taureau.sim.events import AllOf, AnyOf, Event, Process, SimulationError, Timeout
@@ -86,6 +87,7 @@ class Simulation:
         #: the run alive on their own.  See :meth:`has_foreground_work`.
         self._daemon_pending = 0
         self._running = False
+        self._ids: dict = {}
         #: Deadline a ``run(until=<time>)`` call is honoring, consulted by
         #: the sorted-run drain so bulk batches pause at the boundary too.
         self._deadline: typing.Optional[float] = None
@@ -279,6 +281,19 @@ class Simulation:
 
     def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
         return AnyOf(self, events)
+
+    def ids(self, kind: str) -> itertools.count:
+        """This simulation's counter for ids of ``kind`` (created on first use).
+
+        Every id a component mints comes from the simulation that owns
+        it, never from a process-wide counter, so two same-seed runs in
+        one process name their jobs, sandboxes and RNG streams alike.
+        Owners that mint on a hot path bind the counter once.
+        """
+        counter = self._ids.get(kind)
+        if counter is None:
+            counter = self._ids[kind] = itertools.count()
+        return counter
 
     # ------------------------------------------------------------------
     # Execution

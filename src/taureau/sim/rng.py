@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["RngRegistry", "derive_seed"]
+__all__ = ["RngRegistry", "derive_seed", "stable_hash"]
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -21,6 +21,16 @@ def derive_seed(master_seed: int, name: str) -> int:
     digest = hashlib.blake2b(
         f"{master_seed}:{name}".encode("utf-8"), digest_size=8
     ).digest()
+    return int.from_bytes(digest, "big")
+
+
+def stable_hash(key) -> int:
+    """A stable 64-bit hash of ``str(key)``, for routing and partitioning.
+
+    Python's builtin ``hash`` of a string is randomized per process, so
+    a partition chosen with it would differ between same-seed runs.
+    """
+    digest = hashlib.blake2b(str(key).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import itertools
 import typing
 
 from taureau.cluster import Allocation, Machine, ResourceVector
@@ -22,8 +21,6 @@ class UnitState(enum.Enum):
 class ExecutionUnit:
     """One booted unit (server / VM / container / function sandbox)."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         vlayer: VirtualizationLayer,
@@ -31,8 +28,9 @@ class ExecutionUnit:
         allocation: Allocation,
         booted_at: float,
         boot_latency: float,
+        unit_id: str,
     ):
-        self.unit_id = f"u{next(ExecutionUnit._ids)}"
+        self.unit_id = unit_id
         self.layer = vlayer
         self.machine = machine
         self.allocation = allocation
@@ -81,7 +79,10 @@ class UnitFactory:
         )
         allocation = machine.allocate(demand, label=f"{kind.value}-unit")
         boot_latency = vlayer.sample_startup_latency(self._rng)
-        unit = ExecutionUnit(vlayer, machine, allocation, self.sim.now, boot_latency)
+        unit = ExecutionUnit(
+            vlayer, machine, allocation, self.sim.now, boot_latency,
+            unit_id=f"u{next(self.sim.ids('u'))}",
+        )
         ready = self.sim.timeout(boot_latency, value=unit)
 
         def mark_running(event: Event) -> None:

@@ -45,7 +45,7 @@ class TestResourceVector:
 
 class TestMachine:
     def test_allocate_and_release(self):
-        machine = Machine(ResourceVector(4, 4096))
+        machine = Machine(ResourceVector(4, 4096), "m0")
         allocation = machine.allocate(ResourceVector(1, 1024), label="fn")
         assert machine.free == ResourceVector(3, 3072)
         allocation.release()
@@ -53,25 +53,25 @@ class TestMachine:
         assert not machine.allocations
 
     def test_overcommit_rejected(self):
-        machine = Machine(ResourceVector(1, 1024))
+        machine = Machine(ResourceVector(1, 1024), "m0")
         machine.allocate(ResourceVector(1, 512))
         with pytest.raises(InsufficientResources):
             machine.allocate(ResourceVector(1, 512))
 
     def test_double_release_rejected(self):
-        machine = Machine(ResourceVector(4, 4096))
+        machine = Machine(ResourceVector(4, 4096), "m0")
         allocation = machine.allocate(ResourceVector(1, 1024))
         allocation.release()
         with pytest.raises(ValueError):
             allocation.release()
 
     def test_utilization_is_dominant_share(self):
-        machine = Machine(ResourceVector(4, 4096))
+        machine = Machine(ResourceVector(4, 4096), "m0")
         machine.allocate(ResourceVector(1, 4096))
         assert machine.utilization() == 1.0
 
     def test_cpu_pressure(self):
-        machine = Machine(ResourceVector(2, 4096))
+        machine = Machine(ResourceVector(2, 4096), "m0")
         machine.allocate(ResourceVector(1, 0))
         assert machine.cpu_pressure() == 0.5
 

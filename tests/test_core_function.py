@@ -78,6 +78,3 @@ class TestInvocationRecord:
         assert record.execution_duration_s == 3.0
         assert record.end_to_end_latency_s == 4.0
         assert record.succeeded
-
-    def test_fresh_ids_unique(self):
-        assert InvocationRecord.fresh_id() != InvocationRecord.fresh_id()

@@ -9,18 +9,16 @@ from taureau.core import (
     FaasPlatform,
     FunctionSpec,
     bursty_arrivals,
-    bursty_arrivals_vec,
     collect,
     constant_arrivals,
     diurnal_arrivals,
-    diurnal_arrivals_vec,
     peak_to_mean_ratio,
     poisson_arrivals,
     poisson_arrivals_vec,
     replay,
     spike_arrivals,
-    spike_arrivals_vec,
 )
+from taureau.core.workload import _thinned_poisson_vec
 from taureau.sim import Simulation
 
 
@@ -135,9 +133,10 @@ def _scalar_thinned(rng, rate_fn, max_rate, horizon):
 
 
 class TestVectorizedMatchesScalarProtocol:
-    """Each ``*_vec`` generator must reproduce, element for element, a
+    """Each vectorized generator must reproduce, element for element, a
     scalar loop following its documented draw protocol on an identically
-    seeded stream — vectorization changes speed, never values."""
+    seeded stream — vectorization changes speed, never values.  The
+    trace generator draws every arrival through these two."""
 
     @pytest.mark.parametrize("seed", [0, 1, 17])
     @pytest.mark.parametrize("rate,horizon", [(3.0, 200.0), (40.0, 50.0)])
@@ -149,76 +148,22 @@ class TestVectorizedMatchesScalarProtocol:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_diurnal(self, seed):
         base, peak, period, horizon = 1.0, 25.0, 40.0, 300.0
-        vec = diurnal_arrivals_vec(
-            numpy.random.default_rng(seed), base, peak, period, horizon
-        )
 
         def rate(t):
             return base + (peak - base) * (1.0 + numpy.sin(2 * numpy.pi * t / period)) / 2.0
 
+        vec = _thinned_poisson_vec(numpy.random.default_rng(seed), rate, peak, horizon)
         ref = _scalar_thinned(numpy.random.default_rng(seed), rate, peak, horizon)
         assert vec.tolist() == ref
 
     @pytest.mark.parametrize("seed", [0, 9])
     def test_spike(self, seed):
-        vec = spike_arrivals_vec(
-            numpy.random.default_rng(seed),
-            base_rate=2.0, spike_rate=80.0, spike_start=30.0,
-            spike_duration=5.0, horizon=100.0,
-        )
-
         def rate(t):
-            return 80.0 if 30.0 <= t < 35.0 else 2.0
+            return numpy.where((t >= 30.0) & (t < 35.0), 80.0, 2.0)
 
+        vec = _thinned_poisson_vec(numpy.random.default_rng(seed), rate, 80.0, 100.0)
         ref = _scalar_thinned(numpy.random.default_rng(seed), rate, 80.0, 100.0)
         assert vec.tolist() == ref
-
-    @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_bursty(self, seed):
-        import bisect
-
-        on_rate, mean_on, mean_off, horizon = 30.0, 2.0, 7.0, 500.0
-        vec = bursty_arrivals_vec(
-            numpy.random.default_rng(seed), on_rate, mean_on, mean_off, horizon
-        )
-
-        # Scalar protocol: alternate one ON and one OFF draw from the
-        # spawned duration children until the cycles cover the horizon,
-        # then a scalar Poisson over compressed (concatenated-ON) time.
-        on_rng, off_rng, arrival_rng = numpy.random.default_rng(seed).spawn(3)
-        starts, ends = [], []
-        clock = 0.0
-        while clock < horizon:
-            on_end = clock + on_rng.exponential(mean_on)
-            starts.append(clock)
-            ends.append(on_end)
-            clock = on_end + off_rng.exponential(mean_off)
-        lengths = [
-            max(0.0, min(e, horizon) - min(s, horizon))
-            for s, e in zip(starts, ends)
-        ]
-        offsets, total = [], 0.0
-        for length in lengths:
-            total += length
-            offsets.append(total)
-        ref = []
-        for t in _scalar_poisson(arrival_rng, on_rate, total):
-            window = bisect.bisect_right(offsets, t)
-            base = offsets[window - 1] if window else 0.0
-            absolute = starts[window] + (t - base)
-            if absolute < horizon:
-                ref.append(absolute)
-        assert vec.tolist() == pytest.approx(ref, abs=0.0)
-
-    def test_bursty_validates_durations(self):
-        with pytest.raises(ValueError):
-            bursty_arrivals_vec(numpy.random.default_rng(0), 10.0, 0.0, 1.0, 10.0)
-        with pytest.raises(ValueError):
-            bursty_arrivals_vec(numpy.random.default_rng(0), 10.0, 1.0, -1.0, 10.0)
-
-    def test_diurnal_validates_rates(self):
-        with pytest.raises(ValueError):
-            diurnal_arrivals_vec(numpy.random.default_rng(0), 10.0, 5.0, 100.0, 10.0)
 
 
 class TestVectorizedStatistics:
@@ -234,27 +179,6 @@ class TestVectorizedStatistics:
     def test_zero_rate_and_zero_horizon_empty(self):
         assert poisson_arrivals_vec(numpy.random.default_rng(0), 0.0, 10.0).size == 0
         assert poisson_arrivals_vec(numpy.random.default_rng(0), 5.0, 0.0).size == 0
-        assert bursty_arrivals_vec(
-            numpy.random.default_rng(0), 0.0, 1.0, 1.0, 10.0
-        ).size == 0
-
-    def test_bursty_vec_has_quiet_gaps(self):
-        arrivals = bursty_arrivals_vec(
-            numpy.random.default_rng(3), on_rate=50.0, mean_on_s=1.0,
-            mean_off_s=10.0, horizon=200.0,
-        )
-        assert within_horizon(arrivals.tolist(), 200.0)
-        gaps = numpy.diff(arrivals)
-        assert float(gaps.max()) > 3.0
-        assert float(gaps.min()) < 0.2
-
-    def test_spike_vec_concentrates_arrivals(self):
-        arrivals = spike_arrivals_vec(
-            numpy.random.default_rng(4), base_rate=1.0, spike_rate=100.0,
-            spike_start=50.0, spike_duration=5.0, horizon=100.0,
-        )
-        in_spike = int(numpy.sum((arrivals >= 50.0) & (arrivals < 55.0)))
-        assert in_spike > arrivals.size - in_spike
 
 
 def _ratio_reference(arrivals, bucket_s):

@@ -14,16 +14,15 @@ file with::
 
 and names each moved key in its description.
 
-Every scenario runs in a process forked from one that has imported this
-module and run nothing else, so what ran earlier in the test process
-cannot move a pin.  The scenarios in :data:`RUN_TWICE` run twice in
-that process, so a module-global leak between runs fails as
+Every scenario runs in the test process itself: every id the library
+mints comes from the simulation that owns it, so what ran earlier in
+the process cannot move a pin.  The scenarios in :data:`RUN_TWICE` run
+twice, so a module-global leak between runs fails as
 "nondeterministic" rather than as a moved pin.  Every other scenario
 runs once: matching a pin written by another process already checks
 cross-process determinism.
 """
 
-import concurrent.futures
 import contextlib
 import difflib
 import functools
@@ -31,7 +30,6 @@ import hashlib
 import importlib
 import io
 import json
-import multiprocessing
 import pathlib
 import runpy
 import sys
@@ -580,26 +578,6 @@ def run(name) -> dict:
     return outputs
 
 
-def forked():
-    """An executor that runs each task in a new process, forked from one
-    that has imported this module and the benches and run nothing else.
-    Library ids drawn from process-wide counters (a federated job's
-    sampling stream is named after one) then start where they start in
-    a lone run of the scenario, whatever ran before in this process.
-    A forkserver rather than spawn: a spawned worker would import the
-    library again for every scenario, about 0.35 s each."""
-    context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload([__name__, *BENCHES])
-    return concurrent.futures.ProcessPoolExecutor(
-        1, mp_context=context, max_tasks_per_child=1)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with forked() as executor:
-        yield executor
-
-
 def pinned(name, outputs) -> dict:
     """What ``outputs`` must equal: a bench's tables as EXPERIMENTS.md
     shows them, or the scenario's entry in ``behaviour.json``."""
@@ -611,8 +589,8 @@ def pinned(name, outputs) -> dict:
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_behaviour_matches_pin(name, pool):
-    outputs = pool.submit(run, name).result()
+def test_behaviour_matches_pin(name):
+    outputs = run(name)
     pins = pinned(name, outputs)
     problems = []
     for key in sorted(outputs.keys() | pins.keys()):
@@ -629,9 +607,8 @@ def test_behaviour_matches_pin(name, pool):
 
 def write_pins():
     """Rewrite ``behaviour.json`` from a fresh run of every scenario."""
-    with forked() as pool:
-        pins = {name: pool.submit(run, name).result() for name in SCENARIOS
-                if not name.startswith("experiments.")}
+    pins = {name: run(name) for name in SCENARIOS
+            if not name.startswith("experiments.")}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")

@@ -2,7 +2,7 @@
 
 The acceptance gate for the flow layer lives here: a scheduled
 callback that reaches wall-clock time only through a two-hop helper
-chain must pass every per-file rule (TAU001–TAU017) and still be
+chain must pass every per-file rule (TAU001–TAU018) and still be
 flagged by ``--flow`` with the full call chain printed.
 """
 

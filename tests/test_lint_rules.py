@@ -343,6 +343,43 @@ def test_tau017_allows_reraise_and_real_handlers():
 
 
 # ----------------------------------------------------------------------
+# TAU018 process-global-counter
+# ----------------------------------------------------------------------
+
+def test_tau018_flags_module_and_class_level_counters():
+    assert "TAU018" in codes("import itertools\n_ids = itertools.count()\n")
+    assert "TAU018" in codes("from itertools import count\n_ids = count(1)\n")
+    in_class = (
+        "import itertools\n"
+        "class Job:\n"
+        "    _ids = itertools.count()\n"
+    )
+    assert "TAU018" in codes(in_class)
+    # A default argument is evaluated once, at definition time.
+    default = (
+        "import itertools\n"
+        "def mint(ids=itertools.count()):\n"
+        "    return next(ids)\n"
+    )
+    assert "TAU018" in codes(default)
+
+
+def test_tau018_allows_per_instance_counters_and_sim_ids():
+    per_instance = (
+        "import itertools\n"
+        "class Tracer:\n"
+        "    def __init__(self):\n"
+        "        self._span_ids = itertools.count()\n"
+    )
+    assert codes(per_instance) == []
+    assert codes("job_id = f'mr{next(sim.ids(\"mr\"))}'\n") == []
+    assert codes("import itertools\nfresh = lambda: itertools.count()\n") == []
+    # Tests may keep a module-level counter.
+    module_level = "import itertools\n_ids = itertools.count()\n"
+    assert codes(module_level, path="tests/test_x.py") == []
+
+
+# ----------------------------------------------------------------------
 # Every rule has a failing fixture (the acceptance-criteria sweep)
 # ----------------------------------------------------------------------
 
@@ -371,6 +408,7 @@ BAD_FIXTURES = {
         "try:\n    op()\nexcept FaultInjected:\n    pass\n",
         SRC,
     ),
+    "TAU018": ("import itertools\n_ids = itertools.count()\n", SRC),
 }
 
 

@@ -60,7 +60,7 @@ class TestLayerParameters:
 class TestUnitFactory:
     def test_boot_charges_layer_overhead(self):
         sim = Simulation(seed=1)
-        machine = Machine(ResourceVector(16, 4096))
+        machine = Machine(ResourceVector(16, 4096), "m0")
         factory = UnitFactory(sim)
         unit, ready = factory.boot(
             LayerKind.VIRTUAL_MACHINE, machine, ResourceVector(1, 1024)
@@ -73,7 +73,7 @@ class TestUnitFactory:
 
     def test_stop_releases_resources(self):
         sim = Simulation(seed=1)
-        machine = Machine(ResourceVector(16, 4096))
+        machine = Machine(ResourceVector(16, 4096), "m0")
         factory = UnitFactory(sim)
         unit, ready = factory.boot(LayerKind.CONTAINER, machine, ResourceVector(1, 64))
         sim.run(until=ready)
@@ -111,7 +111,7 @@ class TestUnitFactory:
 
     def test_function_units_ready_long_before_vms(self):
         sim = Simulation(seed=3)
-        machine = Machine(ResourceVector(64, 262144))
+        machine = Machine(ResourceVector(64, 262144), "m0")
         factory = UnitFactory(sim)
         fn_unit, __ = factory.boot(LayerKind.FUNCTION, machine, ResourceVector(1, 128))
         vm_unit, __ = factory.boot(
@@ -143,7 +143,7 @@ class TestUnikernelLayer:
 
     def test_boots_on_machines_like_any_layer(self):
         sim = Simulation(seed=4)
-        machine = Machine(ResourceVector(16, 4096))
+        machine = Machine(ResourceVector(16, 4096), "m0")
         factory = UnitFactory(sim)
         unit, ready = factory.boot(
             LayerKind.UNIKERNEL, machine, ResourceVector(1, 64)
