@@ -76,7 +76,6 @@ def replay_once(trace, with_recorder, seed=39):
             invoke("handler", index)
 
     started = time.perf_counter()
-    app._poke_loops()
     replay_trace(app.sim, trace, fire)
     app.sim.run()
     elapsed = time.perf_counter() - started

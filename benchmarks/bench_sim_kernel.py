@@ -16,6 +16,11 @@ the kernel.  All paths execute the identical event sequence (asserted
 on a fuzzed mixed workload), so the speedup is semantics-free; the
 trajectory lands in ``benchmarks/BENCH_sim_kernel.json``.
 
+The gate row (1e6 events, 1e5 under ``--smoke``) times the seed and
+bulk paths ``GATE_SAMPLES`` times, interleaved, and gates on the median
+of the per-sample speedups: on a 2-core VM, single samples of the 1e6
+paths ranged over 6.8x-15.6x.
+
 Run directly (``python benchmarks/bench_sim_kernel.py [--smoke]``) or
 via pytest-benchmark like the other benches.
 """
@@ -24,6 +29,7 @@ import argparse
 import json
 import pathlib
 import random
+import statistics
 import sys
 import time
 
@@ -38,6 +44,7 @@ from taureau.workload import WorkloadSpec, generate_trace, replay_trace
 
 SEED_SAMPLE_CAP = 1_000_000  # per-event paths are timed on at most this many
 REQUIRED_SPEEDUP = 10.0  # bulk-heap vs the seed kernel at 1e6 events
+GATE_SAMPLES = 5  # interleaved seed/bulk timings behind the gate's median
 
 MILLION_TENANT_SPEC = WorkloadSpec(
     tenants=1_000_000,
@@ -120,25 +127,36 @@ def bulk_drain(times):
     return _rate(len(times), elapsed)
 
 
-def kernel_sweep(sizes):
-    """events/sec per scheduling path per event count."""
+def kernel_sweep(sizes, gate_n):
+    """events/sec per scheduling path per event count, plus gate samples.
+
+    The ``gate_n`` row times the seed and bulk paths ``GATE_SAMPLES``
+    times, interleaved, and reports their medians; its speedup column
+    is the median of the per-sample ratios, which are returned too.
+    """
     rows = []
+    gate_ratios = []
     for n in sizes:
         times = arrival_times(n)
         sample = times[: min(n, SEED_SAMPLE_CAP)]
-        seed_rate = seed_kernel_drain(sample)
+        seed_rates, heap_rates = [], []
+        for _ in range(GATE_SAMPLES if n == gate_n else 1):
+            seed_rates.append(seed_kernel_drain(sample))
+            heap_rates.append(bulk_drain(times))
         scalar_rate = scalar_run_drain(sample)
-        heap_rate = bulk_drain(times)
+        ratios = [heap / seed for seed, heap in zip(seed_rates, heap_rates)]
+        if n == gate_n:
+            gate_ratios = ratios
         rows.append(
             (
                 f"1e{len(str(n)) - 1}",
-                round(seed_rate),
+                round(statistics.median(seed_rates)),
                 round(scalar_rate),
-                round(heap_rate),
-                round(heap_rate / seed_rate, 1),
+                round(statistics.median(heap_rates)),
+                round(statistics.median(ratios), 1),
             )
         )
-    return rows
+    return rows, gate_ratios
 
 
 def equivalence_check():
@@ -207,9 +225,20 @@ def million_tenant_scenario(spec):
 def run_experiment(smoke=False):
     equivalence_check()
     sizes = [100_000] if smoke else [100_000, 1_000_000, 10_000_000]
-    kernel_rows = kernel_sweep(sizes)
+    kernel_rows, gate_ratios = kernel_sweep(
+        sizes, gate_n=100_000 if smoke else 1_000_000)
     scenario = million_tenant_scenario(SMOKE_SPEC if smoke else MILLION_TENANT_SPEC)
-    return kernel_rows, scenario
+    return kernel_rows, scenario, gate_ratios
+
+
+def gate_speedup(gate_ratios):
+    """Print every gate sample; return their median speedup."""
+    speedup = statistics.median(gate_ratios)
+    samples = " ".join(f"{ratio:.1f}x" for ratio in gate_ratios)
+    print(f"bulk_heap / seed_kernel, {len(gate_ratios)} interleaved "
+          f"samples: {samples}; median {speedup:.1f}x "
+          f"(>= {REQUIRED_SPEEDUP:.0f}x required)")
+    return speedup
 
 
 def report(kernel_rows, scenario):
@@ -218,8 +247,10 @@ def report(kernel_rows, scenario):
         f"per-event paths sampled at <= {SEED_SAMPLE_CAP:.0e} events)",
         ["events", "seed_kernel", "scalar_run", "bulk_heap", "speedup_vs_seed"],
         kernel_rows,
-        note=f"acceptance: bulk_heap >= {REQUIRED_SPEEDUP:.0f}x the seed "
-        "kernel; all paths pop the identical event sequence",
+        note=f"acceptance: median bulk_heap >= {REQUIRED_SPEEDUP:.0f}x the "
+        f"seed kernel over {GATE_SAMPLES} interleaved samples at 1e6 "
+        "events (1e5 under --smoke); all paths pop the identical event "
+        "sequence",
     )
     print_table(
         "E39b: trace-driven workload, generate + replay",
@@ -264,30 +295,25 @@ def main(argv=None):
         help="trajectory output path (full runs only)",
     )
     options = parser.parse_args(argv)
-    kernel_rows, scenario = run_experiment(smoke=options.smoke)
+    kernel_rows, scenario, gate_ratios = run_experiment(smoke=options.smoke)
     report(kernel_rows, scenario)
     # Acceptance at 1e6 events (E35's convention); the 1e7 row is
     # informational — it breathes with allocator/GC pressure.
-    by_size = {row[0]: row for row in kernel_rows}
-    gate = by_size.get("1e6", kernel_rows[-1])
-    speedup = gate[4]
+    speedup = gate_speedup(gate_ratios)
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"bulk scheduling is only {speedup}x the seed kernel"
+        f"bulk scheduling is only {speedup:.1f}x the seed kernel (median)"
     )
-    print(f"bulk_heap speedup at {gate[0]} events: {speedup}x "
-          f"(>= {REQUIRED_SPEEDUP:.0f}x required)")
     if not options.smoke:
         write_trajectory(kernel_rows, scenario, options.json)
     return 0
 
 
 def test_e39_kernel_speedup(benchmark):
-    kernel_rows, scenario = benchmark.pedantic(
+    kernel_rows, scenario, gate_ratios = benchmark.pedantic(
         lambda: run_experiment(smoke=False), rounds=1, iterations=1
     )
     report(kernel_rows, scenario)
-    by_size = {row[0]: row for row in kernel_rows}
-    assert by_size["1e6"][4] >= REQUIRED_SPEEDUP
+    assert gate_speedup(gate_ratios) >= REQUIRED_SPEEDUP
     # The headline claim: a million tenants, ~1e7 invocations, minutes.
     assert scenario["arrivals"] > 5_000_000
     assert scenario["total_s"] < 600.0

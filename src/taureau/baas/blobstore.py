@@ -56,10 +56,10 @@ class BlobStore:
         self.metrics = MetricRegistry(namespace="baas.blob")
         self._blobs: dict = {}
         self._stored_mb = 0.0
-        # Fault-plane gate (set by Platform._gate_client when a chaos
-        # plan / resilience policy is installed; all None by default).
-        self.faults = None
         self.fault_component = f"baas.{name}"
+        # Fault-plane gate (set by Platform._gate_client when a chaos
+        # plan / resilience policy is installed; both None by default).
+        self.faults = None
         self.resilience = None
 
     def _guard(self, ctx, op: str) -> None:

@@ -46,10 +46,10 @@ class KvStore:
         self.calibration = calibration
         self.metrics = MetricRegistry(namespace="baas.kv")
         self._items: typing.Dict[str, KvItem] = {}
-        # Fault-plane gate (set by Platform._gate_client when a chaos
-        # plan / resilience policy is installed; all None by default).
-        self.faults = None
         self.fault_component = f"baas.{name}"
+        # Fault-plane gate (set by Platform._gate_client when a chaos
+        # plan / resilience policy is installed; both None by default).
+        self.faults = None
         self.resilience = None
 
     def _guard(self, ctx, op: str) -> None:

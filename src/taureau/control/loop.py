@@ -1,9 +1,9 @@
 """The control loop: tick on the virtual clock, sense, decide, actuate.
 
-:class:`ControlLoop` mirrors the :class:`~taureau.obs.Monitor`'s
-scheduling discipline — it self-reschedules only while the simulation
-has other pending work (so ``sim.run()`` still terminates) and the
-facade re-arms it whenever new work is injected.  Each tick builds one
+:class:`ControlLoop` ticks through ``Simulation.every``, like the
+:class:`~taureau.obs.Monitor`: the kernel ticks it while the simulation
+has foreground work (so ``sim.run()`` still terminates) and resumes it
+whenever new work is scheduled.  Each tick builds one
 :class:`~taureau.control.SignalView` from the platform's metric
 registries and hands it, with the shared
 :class:`~taureau.control.Actuator`, to every installed policy in
@@ -59,7 +59,7 @@ class ControlLoop:
         self.policies = list(policies)
         self.actuator = Actuator(faas)
         self.ticks = 0
-        self._scheduled = False
+        self._loop = None
         # Cumulative counter snapshots for per-tick deltas, keyed by the
         # child metric itself (a family never replaces a child).
         self._prev: typing.Dict[object, float] = {}
@@ -98,23 +98,13 @@ class ControlLoop:
         self._hooked_monitor = None
 
     # ------------------------------------------------------------------
-    # Scheduling (same discipline as Monitor)
+    # Scheduling
     # ------------------------------------------------------------------
 
     def ensure_running(self) -> None:
-        """(Re)arm the tick loop; idempotent, called by the facade."""
-        if not self._scheduled:
-            self._scheduled = True
-            self.sim.schedule_daemon(self.interval_s, self._tick)
-
-    def _tick(self) -> None:
-        self.sim.daemon_fired()
-        self._scheduled = False
-        self.tick()
-        # Foreground work only: a pending Monitor tick must not keep
-        # this loop alive (and vice versa), or sim.run() never drains.
-        if self.sim.has_foreground_work():
-            self.ensure_running()
+        """Start the tick loop on the simulation's clock; idempotent."""
+        if self._loop is None:
+            self._loop = self.sim.every(self.interval_s, self.tick)
 
     # ------------------------------------------------------------------
     # Sense / decide / actuate

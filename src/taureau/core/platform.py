@@ -616,7 +616,12 @@ class FaasPlatform:
         self, start: float = 0.0, end: typing.Optional[float] = None
     ) -> float:
         """The standing charge for provisioned concurrency over a window."""
-        series = self.metrics.series("provisioned_memory_mb")
+        return self._standing_cost_usd("provisioned_memory_mb", start, end)
+
+    def _standing_cost_usd(self, series_name: str, start: float,
+                           end: typing.Optional[float]) -> float:
+        """Provisioned-rate charge for the memory a series integrates."""
+        series = self.metrics.series(series_name)
         if not len(series):
             return 0.0
         end = self.sim.now if end is None else end
@@ -717,12 +722,7 @@ class FaasPlatform:
         self, start: float = 0.0, end: typing.Optional[float] = None
     ) -> float:
         """The standing charge for pre-warmed (not yet reused) sandboxes."""
-        series = self.metrics.series("prewarmed_memory_mb")
-        if not len(series):
-            return 0.0
-        end = self.sim.now if end is None else end
-        gb_s = series.integral(start, end) / 1024.0
-        return gb_s * self.config.calibration.price_per_provisioned_gb_s
+        return self._standing_cost_usd("prewarmed_memory_mb", start, end)
 
     def pending_count(self, name: typing.Optional[str] = None) -> int:
         """Parked (queued-on-throttle) attempts, optionally per function."""
@@ -737,10 +737,6 @@ class FaasPlatform:
     def function_names(self) -> list:
         """Registered function names in deployment order."""
         return list(self._functions)
-
-    @property
-    def running_count(self) -> int:
-        return self._running
 
     @property
     def start_count(self) -> int:

@@ -165,7 +165,6 @@ class Platform:
 
     def invoke(self, name: str, payload: object = None, *,
                parent=None) -> Event:
-        self._poke_loops()
         return self.faas.invoke(name, payload, parent=parent)
 
     def invoke_sync(self, name: str, payload: object = None, *,
@@ -173,13 +172,11 @@ class Platform:
         """Invoke and drain; returns the final
         :class:`~taureau.core.function.InvocationRecord` (same shape as
         the :meth:`invoke` event's result)."""
-        self._poke_loops()
         return self.faas.invoke_sync(name, payload, parent=parent)
 
     def schedule_periodic(self, name: str, interval_s: float, *,
                           payload_fn=None, start_after_s=None,
                           jitter: float = 0.0):
-        self._poke_loops()
         return self.faas.schedule_periodic(
             name, interval_s, payload_fn=payload_fn,
             start_after_s=start_after_s, jitter=jitter,
@@ -187,7 +184,6 @@ class Platform:
 
     def run(self, until=None):
         """Advance the shared simulation (see :meth:`Simulation.run`)."""
-        self._poke_loops()
         return self.sim.run(until=until)
 
     def total_cost_usd(self) -> float:
@@ -277,7 +273,7 @@ class Platform:
         self.wire_service("jiffy", client)
         self._subsystems["jiffy"] = controller
         self._jiffy = client
-        self._gate_client(client, "jiffy")
+        self._gate_client(client)
         return self
 
     def with_pulsar(self, broker_count: int = 3, bookie_count: int = 3,
@@ -313,7 +309,7 @@ class Platform:
         store = KvStore(self.sim, name=name, **kwargs)
         self.wire_service(name, store)
         self._subsystems[name] = store
-        self._gate_client(store, f"baas.{name}")
+        self._gate_client(store)
         return self
 
     def with_blobstore(self, name: str = "blob", **kwargs) -> "Platform":
@@ -324,7 +320,7 @@ class Platform:
         store = BlobStore(self.sim, name=name, **kwargs)
         self.wire_service(name, store)
         self._subsystems[name] = store
-        self._gate_client(store, f"baas.{name}")
+        self._gate_client(store)
         return self
 
     def with_database(self, name: str = "db", **kwargs) -> "Platform":
@@ -367,7 +363,6 @@ class Platform:
         function: typing.Optional[str] = None,
         payload_fn=None,
         fire=None,
-        chunk_size: int = 200_000,
     ) -> "Platform":
         """Schedule a trace-driven workload onto this platform; run later.
 
@@ -382,7 +377,8 @@ class Platform:
         ``payload_fn(index, tenant, function_index)`` (default: a dict
         of the two ids), or — for full control — calls a custom
         ``fire(index)`` instead; look columns up on the returned trace.
-        Scheduling is chunked bulk posts of ``chunk_size`` arrivals, so
+        Scheduling is chunked bulk posts (see
+        :func:`~taureau.workload.replay_trace`), so
         ten-million-invocation traces keep the kernel's pending set
         small.  Returns ``self``; the scheduled trace is
         :attr:`workload_trace` and :meth:`run` executes it.
@@ -417,8 +413,7 @@ class Platform:
                     ),
                 )
 
-        self._poke_loops()
-        replay_trace(self.sim, trace, fire, chunk_size=chunk_size)
+        replay_trace(self.sim, trace, fire)
         self.workload_trace = trace
         return self
 
@@ -525,8 +520,7 @@ class Platform:
         self._control.ensure_running()
         return self
 
-    def _gate_client(self, client, component: str) -> None:
-        client.fault_component = component
+    def _gate_client(self, client) -> None:
         self._gated_clients.append(client)
         if self.chaos is not None:
             client.faults = self.chaos
@@ -631,15 +625,6 @@ class Platform:
         self.monitor.ensure_running()
         return self
 
-    def _poke_loops(self) -> None:
-        """Re-arm the virtual-time loops (monitor, control, recorder)."""
-        if self.monitor is not None:
-            self.monitor.ensure_running()
-        if self._control is not None:
-            self._control.ensure_running()
-        if self._recorder is not None:
-            self._recorder.ensure_running()
-
     def alerts(self) -> list:
         """The append-only alert fire/resolve event log (empty if unmonitored)."""
         if self.monitor is None:
@@ -720,11 +705,11 @@ class Platform:
     # ------------------------------------------------------------------
 
     def with_recorder(self, interval_s: float = 1.0) -> "Platform":
-        """Install a :class:`~taureau.obs.RunRecorder` daemon.
+        """Install a :class:`~taureau.obs.RunRecorder` loop.
 
         Samples queue depth, warm pools, cold fraction, topic backlogs,
         SLO burn lanes and breaker states every ``interval_s`` simulated
-        seconds (same daemon discipline as the monitor: an idle recorder
+        seconds (a ``sim.every`` loop, like the monitor: an idle recorder
         never keeps ``sim.run()`` alive).  Returns ``self``; the
         recorder is :attr:`recorder`, its output :meth:`run_artifact`
         and :meth:`save_report`.

@@ -23,10 +23,10 @@ class JiffyClient:
     def __init__(self, controller: JiffyController):
         self.controller = controller
         self._calibration = controller.calibration
-        # Fault-plane gate (set by Platform._gate_client when a chaos
-        # plan / resilience policy is installed; all None by default).
-        self.faults = None
         self.fault_component = "jiffy"
+        # Fault-plane gate (set by Platform._gate_client when a chaos
+        # plan / resilience policy is installed; both None by default).
+        self.faults = None
         self.resilience = None
 
     def _guard(self, ctx, op: str) -> None:

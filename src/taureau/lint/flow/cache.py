@@ -20,7 +20,7 @@ from taureau.lint.flow.index import ModuleSummary
 
 __all__ = ["FlowCache", "CACHE_VERSION"]
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class FlowCache:

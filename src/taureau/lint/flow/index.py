@@ -6,8 +6,8 @@ know about a module *without re-reading it*: its import-alias table
 deliberately ignores), module-level assignment aliases
 (``_now = time.time`` — the binding shape per-file call resolution is
 structurally blind to), every function with its resolved outgoing
-calls, handler/daemon/entry-point markers, and the purely-local flow
-findings (shared-capture, daemon-blocking) that need no propagation.
+calls, handler/entry-point markers, and the purely-local flow findings
+(shared-capture, daemon-blocking) that need no propagation.
 
 Summaries are plain-dict serializable: the incremental cache
 (:mod:`.cache`) persists them keyed by a blake2b digest of the file
@@ -40,7 +40,7 @@ SCHEDULING_CALLS = frozenset(
         "schedule_after",
         "schedule_many",
         "schedule_periodic",
-        "schedule_daemon",
+        "every",
         "invoke",
         "invoke_sync",
         "heappush",
@@ -56,7 +56,7 @@ _CALLBACK_ARG_INDEX = {
     "schedule_at": 1,
     "schedule_after": 1,
     "schedule_many": 1,
-    "schedule_daemon": 1,
+    "every": 1,
 }
 
 #: Method names that mutate the receiver in place.
@@ -147,7 +147,6 @@ class FunctionInfo:
         default_factory=list
     )
     is_handler: bool = False
-    is_daemon_tick: bool = False  #: body calls ``daemon_fired``
     #: Local findings needing no propagation: (code, line, message).
     local_findings: typing.List[typing.Tuple[str, int, str]] = dataclasses.field(
         default_factory=list
@@ -162,7 +161,6 @@ class FunctionInfo:
             "calls": [c.to_dict() for c in self.calls],
             "loops": [list(item) for item in self.set_loop_calls],
             "h": self.is_handler,
-            "d": self.is_daemon_tick,
             "f": [list(item) for item in self.local_findings],
         }
 
@@ -176,7 +174,6 @@ class FunctionInfo:
             calls=[CallSite.from_dict(c) for c in data["calls"]],
             set_loop_calls=[(n, l) for n, l in data["loops"]],
             is_handler=data["h"],
-            is_daemon_tick=data["d"],
             local_findings=[(c, l, m) for c, l, m in data["f"]],
         )
 
@@ -300,6 +297,10 @@ class _Indexer:
         self.module_names: set = set()
         #: module-level names bound to mutable containers, name → type label
         self.module_mutables: dict = {}
+        #: function nodes by qualname, for the checks run after the walk
+        self.function_nodes: dict = {}
+        #: qualnames registered as ``sim.every`` ticks in this module
+        self.every_ticks: set = set()
         self._collect_imports()
         self._collect_module_scope()
 
@@ -438,6 +439,9 @@ class _Indexer:
             local_qualnames={},
         )
         self._walk_body(self.ctx.tree.body, scope, function=None)
+        for qual, info in self.summary.functions.items():
+            if info.qualname in self.every_ticks:
+                self._check_daemon(self.function_nodes[qual], info)
 
     def _walk_body(self, body, scope: "_Scope", function) -> None:
         for node in body:
@@ -473,6 +477,7 @@ class _Indexer:
             is_handler=_is_handler(node),
         )
         self.summary.functions[qual] = info
+        self.function_nodes[qual] = node
         # Make the bare name resolvable from sibling scopes.
         scope.local_qualnames[node.name] = qualname
         local = {arg.arg for arg in _all_args(node.args)}
@@ -484,12 +489,7 @@ class _Indexer:
             enclosing_names=scope.local_names | scope.enclosing_names,
             local_qualnames=dict(scope.local_qualnames),
         )
-        body_nodes = list(node.body)
-        daemon_calls = _attr_call_names(body_nodes)
-        info.is_daemon_tick = "daemon_fired" in daemon_calls
-        self._walk_body(body_nodes, inner, function=info)
-        if info.is_daemon_tick:
-            self._check_daemon(node, info, daemon_calls)
+        self._walk_body(list(node.body), inner, function=info)
         if info.is_handler:
             self._check_captures(node, info, inner)
 
@@ -547,13 +547,15 @@ class _Indexer:
             resolved = self._resolve_callable(target, scope)
             if resolved is not None:
                 self.summary.registrations.append((resolved, node.lineno))
+                if attr == "every":
+                    self.every_ticks.add(resolved)
 
     # ------------------------------------------------------------------
     # Local flow checks (no propagation needed)
     # ------------------------------------------------------------------
 
-    def _check_daemon(self, node, info: FunctionInfo, attr_calls: set) -> None:
-        """TAU106: daemon ticks must stay bounded and background."""
+    def _check_daemon(self, node, info: FunctionInfo) -> None:
+        """TAU106: a ``sim.every`` tick must stay bounded and background."""
         for loop in ast.walk(node):
             if not isinstance(loop, ast.While):
                 continue
@@ -567,13 +569,11 @@ class _Indexer:
                     (
                         "TAU106",
                         loop.lineno,
-                        "unbounded `while True` inside a daemon tick stalls "
-                        "the virtual clock; bound the loop or re-arm via "
-                        "sim.schedule_daemon",
+                        "unbounded `while True` inside a sim.every tick "
+                        "stalls the virtual clock; bound the loop and let "
+                        "the kernel call the tick again",
                     )
                 )
-        if "daemon_scheduled" in attr_calls or "schedule_daemon" in attr_calls:
-            return
         for call in ast.walk(node):
             if not isinstance(call, ast.Call):
                 continue
@@ -584,10 +584,10 @@ class _Indexer:
                     (
                         "TAU106",
                         call.lineno,
-                        f"daemon tick schedules foreground work via {attr}(); "
-                        "an unpaired tick keeps sim.run() alive forever — "
-                        "use sim.schedule_daemon (pairs daemon_scheduled "
-                        "with the schedule) to re-arm",
+                        f"sim.every tick schedules foreground work via "
+                        f"{attr}(); work added on every tick keeps the "
+                        "kernel re-arming the loop, so sim.run() never "
+                        "drains — the kernel already repeats the tick",
                     )
                 )
 
@@ -693,15 +693,6 @@ def _assigned_names(node) -> set:
             targets = [item.optional_vars for item in stmt.items if item.optional_vars]
         for target in targets:
             bound(target)
-    return names
-
-
-def _attr_call_names(body) -> set:
-    names: set = set()
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                names.add(node.func.attr)
     return names
 
 

@@ -21,8 +21,8 @@ TAU104   flow-unordered-schedule    a loop over a set calls a helper that
                                     (transitively) schedules events
 TAU105   flow-shared-capture        a handler mutates state captured from
                                     module scope or an enclosing closure
-TAU106   flow-daemon-blocking       a daemon tick stalls the clock or
-                                    schedules unpaired foreground work
+TAU106   flow-daemon-blocking       a ``sim.every`` tick stalls the clock
+                                    or schedules foreground work
 =======  =========================  =====================================
 """
 
@@ -134,15 +134,16 @@ _FLOW_RULES = (
     FlowRuleInfo(
         code="TAU106",
         name="flow-daemon-blocking",
-        summary="A daemon tick stalls the clock or schedules unpaired work.",
+        summary="A sim.every tick stalls the clock or schedules foreground work.",
         explain=(
             "Housekeeping loops (Monitor, ControlLoop, RunRecorder) "
-            "re-arm through the daemon_scheduled/daemon_fired protocol "
-            "so an idle daemon never keeps sim.run() alive.  A tick "
-            "body (a function calling daemon_fired) that contains an "
-            "unbounded `while True`, or schedules via plain "
-            "schedule_after without pairing daemon_scheduled, breaks "
-            "that protocol — use sim.schedule_daemon to re-arm."
+            "register their tick with sim.every, and the kernel calls "
+            "it again only while foreground work remains, so an idle "
+            "loop never keeps sim.run() alive.  A registered tick that "
+            "contains an unbounded `while True` stalls the virtual "
+            "clock, and one that calls schedule_at, schedule_after or "
+            "schedule_many adds foreground work on every tick, so the "
+            "kernel re-arms it forever."
         ),
     ),
 )

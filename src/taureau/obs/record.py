@@ -8,14 +8,14 @@ fault events, control actions, spans, flamegraph folds); what was
 missing is a recorder that samples them *over virtual time* and packages
 one run as a portable document.
 
-:class:`RunRecorder` registers as a kernel daemon (the same
-``Simulation.daemon_scheduled`` discipline as
-:class:`~taureau.obs.Monitor` and :class:`~taureau.control.ControlLoop`,
-so an idle recorder never keeps a drained simulation alive) and, every
-``interval_s`` simulated seconds, appends one row to a set of columnar
-series: queue depth and warm-pool size per function, the cold-start
-fraction of the tick, per-topic broker backlog, SLO error-ratio /
-budget / burn-rate lanes, and circuit-breaker states.  At any point
+:class:`RunRecorder` registers its tick with ``Simulation.every``, as
+:class:`~taureau.obs.Monitor` and :class:`~taureau.control.ControlLoop`
+do, so an idle recorder never keeps a drained simulation alive and
+resumes whenever new work is scheduled.  Every ``interval_s``
+simulated seconds it appends one row to a set of columnar series:
+queue depth and warm-pool size per function, the cold-start fraction
+of the tick, per-topic broker backlog, SLO error-ratio / budget /
+burn-rate lanes, and circuit-breaker states.  At any point
 :meth:`RunRecorder.artifact` folds the sampled series together with the
 event streams (alerts, faults, control actions, breaker transitions),
 a bounded set of span trees with their critical paths, the flamegraph
@@ -160,7 +160,7 @@ class RunRecorder:
     The recorder is pure observation: it reads instantaneous platform
     state and cumulative metric values (via ``find`` — never creating
     metrics), so installing it cannot change simulated behaviour, only
-    add daemon entries to the event queue.
+    add housekeeping ticks to the event queue.
     """
 
     def __init__(self, platform, interval_s: float = 1.0):
@@ -170,7 +170,7 @@ class RunRecorder:
         self.sim = platform.sim
         self.interval_s = interval_s
         self.ticks = 0
-        self._scheduled = False
+        self._loop = None
         #: Sample times, one entry per tick.
         self._times: typing.List[float] = []
         #: Columnar series, each list padded to len(_times).
@@ -184,23 +184,13 @@ class RunRecorder:
         self._breaker_events: typing.List[dict] = []
 
     # ------------------------------------------------------------------
-    # Scheduling (the Monitor/ControlLoop daemon discipline)
+    # Scheduling
     # ------------------------------------------------------------------
 
     def ensure_running(self) -> None:
-        """(Re)arm the sampling loop; idempotent, called by the facade."""
-        if not self._scheduled:
-            self._scheduled = True
-            self.sim.schedule_daemon(self.interval_s, self._tick)
-
-    def _tick(self) -> None:
-        self.sim.daemon_fired()
-        self._scheduled = False
-        self.tick()
-        # Re-arm only while foreground work remains — a recorder must
-        # not keep a drained simulation (or a fellow daemon) alive.
-        if self.sim.has_foreground_work():
-            self.ensure_running()
+        """Start the sampling loop on the simulation's clock; idempotent."""
+        if self._loop is None:
+            self._loop = self.sim.every(self.interval_s, self.tick)
 
     # ------------------------------------------------------------------
     # Sampling

@@ -248,9 +248,10 @@ class Monitor:
     interval_s:
         Evaluation period in simulated seconds.
 
-    The monitor self-schedules only while the simulation has other
-    pending work, so ``sim.run()`` still terminates; the facade pokes
-    :meth:`ensure_running` whenever new work is injected.
+    :meth:`ensure_running` registers :meth:`tick` with
+    :meth:`Simulation.every <taureau.sim.Simulation.every>`: it ticks
+    while the simulation has foreground work, so ``sim.run()`` still
+    terminates, and resumes whenever new work is scheduled.
     """
 
     def __init__(
@@ -285,7 +286,7 @@ class Monitor:
         self.ticks = 0
         self._windows: typing.Dict[str, _Window] = {}
         self._alert_states: typing.List[_AlertState] = []
-        self._scheduled = False
+        self._loop = None
         self._in_tick = False
 
     # ------------------------------------------------------------------
@@ -342,22 +343,9 @@ class Monitor:
     # ------------------------------------------------------------------
 
     def ensure_running(self) -> None:
-        """(Re)arm the tick loop; idempotent, called by the facade."""
-        if not self._scheduled:
-            self._scheduled = True
-            self.sim.schedule_daemon(self.interval_s, self._tick)
-
-    def _tick(self) -> None:
-        self.sim.daemon_fired()
-        self._scheduled = False
-        self.tick()
-        # Self-reschedule only while the workload has pending foreground
-        # events; otherwise sim.run() would never drain.  (Foreground
-        # excludes other housekeeping loops' ticks — a Monitor and a
-        # ControlLoop must not keep each other alive.)  ensure_running()
-        # rearms the loop when new work arrives.
-        if self.sim.has_foreground_work():
-            self.ensure_running()
+        """Start the tick loop on the simulation's clock; idempotent."""
+        if self._loop is None:
+            self._loop = self.sim.every(self.interval_s, self.tick)
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -16,6 +16,11 @@ Two throughput paths exist beyond per-event :meth:`Simulation.schedule_at`:
 - :meth:`Simulation.run` drains same-timestamp bursts in a tight inner
   loop without re-entering :meth:`step`.
 
+Housekeeping loops (the SLO monitor, the control loop, the run recorder)
+register with :meth:`Simulation.every`: the kernel ticks them while
+foreground work remains, lets them sleep when none does and wakes them
+when work is next scheduled, so no loop keeps a drained run alive.
+
 Both preserve the determinism contract exactly: every scheduled entry has
 a unique ``(when, seq)`` key, sequence numbers are handed out in call
 order, and execution order is the total order on ``(when, seq)`` — the
@@ -24,6 +29,7 @@ same order the seed kernel's one-push-per-event heap produced.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import typing
@@ -56,6 +62,30 @@ class _SortedRun:
         return len(self.times) - self.pos
 
 
+class _Loop:
+    """One :meth:`Simulation.every` loop; each queue entry calls it once.
+
+    It carries its tick's ``__module__`` and ``__qualname__``
+    (``functools.update_wrapper``), so the sanitizer and per-layer
+    profilers name the entry after the loop's owner.
+    """
+
+    def __init__(self, sim: "Simulation", interval_s: float, tick):
+        self.sim = sim
+        self.interval_s = interval_s
+        self.tick = tick
+        functools.update_wrapper(self, tick)
+
+    def __call__(self) -> None:
+        sim = self.sim
+        sim._housekeeping -= 1
+        self.tick()
+        if sim.has_foreground_work():
+            sim._arm(self)
+        else:
+            sim._dormant.append(self)
+
+
 class Simulation:
     """A deterministic discrete-event simulation.
 
@@ -82,10 +112,13 @@ class Simulation:
         # and the run loops.
         self._drain_run = self._drain_run
         self._seq = 0
-        #: Pending housekeeping ("daemon") ticks — self-rescheduling
-        #: virtual-time loops (Monitor, ControlLoop) that must not keep
-        #: the run alive on their own.  See :meth:`has_foreground_work`.
-        self._daemon_pending = 0
+        #: Queued :meth:`every` ticks; every other entry is foreground
+        #: work (see :meth:`has_foreground_work`).
+        self._housekeeping = 0
+        #: :meth:`every` loops that found no foreground work at their
+        #: last tick, in the order they stopped.  The next scheduled
+        #: entry wakes them.
+        self._dormant: list = []
         self._running = False
         self._ids: dict = {}
         #: Deadline a ``run(until=<time>)`` call is honoring, consulted by
@@ -114,6 +147,8 @@ class Simulation:
             raise SimulationError(
                 f"cannot schedule at t={when} before current time t={self.now}"
             )
+        if self._dormant:
+            self._wake()
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, callback, args))
 
@@ -121,17 +156,35 @@ class Simulation:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         self.schedule_at(self.now + delay, callback, *args)
 
-    def schedule_daemon(self, delay: float, callback, *args) -> None:
-        """Schedule a housekeeping tick after ``delay`` seconds.
+    def every(self, interval_s: float, tick) -> _Loop:
+        """Call ``tick()`` every ``interval_s`` seconds while work remains.
 
-        Pairs :meth:`daemon_scheduled` with the schedule so the tick is
-        invisible to :meth:`has_foreground_work` — a daemon re-arming
-        through this method can never keep :meth:`run` alive on its
-        own.  The callback must call :meth:`daemon_fired` when it runs
-        (the Monitor/ControlLoop/RunRecorder tick discipline).
+        The kernel's one housekeeping loop.  The first tick is armed at
+        once.  After each tick the loop re-arms while foreground work
+        (any entry that is not an ``every`` tick) is scheduled, and goes
+        dormant otherwise, so loops never keep :meth:`run` alive on
+        their own or each other's ticks.  The next :meth:`schedule_at`
+        or :meth:`schedule_many` wakes every dormant loop, in the order
+        they went dormant, before it queues its own entry.  Arming a
+        loop wakes no other.
         """
-        self.daemon_scheduled()
-        self.schedule_after(delay, callback, *args)
+        if interval_s <= 0:
+            raise ValueError("interval_s must be positive")
+        loop = _Loop(self, interval_s, tick)
+        self._arm(loop)
+        return loop
+
+    def _arm(self, loop: _Loop) -> None:
+        # Arming is housekeeping: its schedule_at wakes no dormant loop.
+        dormant, self._dormant = self._dormant, []
+        self.schedule_at(self.now + loop.interval_s, loop)
+        self._dormant = dormant
+        self._housekeeping += 1
+
+    def _wake(self) -> None:
+        woken, self._dormant = self._dormant, []
+        for loop in woken:
+            self._arm(loop)
 
     def schedule_many(
         self,
@@ -183,6 +236,8 @@ class Simulation:
             raise SimulationError(
                 f"cannot schedule at t={arr[0]} before current time t={self.now}"
             )
+        if self._dormant:
+            self._wake()
         seq0 = self._seq + 1
         self._seq += n
         run = _SortedRun(
@@ -303,26 +358,16 @@ class Simulation:
         """Whether anything at all is still scheduled."""
         return bool(self._heap)
 
-    def daemon_scheduled(self) -> None:
-        """Count one pending housekeeping tick (see :meth:`has_foreground_work`)."""
-        self._daemon_pending += 1
-
-    def daemon_fired(self) -> None:
-        """Balance a prior :meth:`daemon_scheduled` once the tick runs."""
-        if self._daemon_pending > 0:
-            self._daemon_pending -= 1
-
     def has_foreground_work(self) -> bool:
-        """Whether any *non-daemon* work remains scheduled.
+        """Whether any entry other than an :meth:`every` tick is scheduled.
 
-        Self-rescheduling virtual-time loops (``Monitor``,
-        ``ControlLoop``) re-arm only while this holds.  If they checked
-        :meth:`has_work` instead, two concurrent loops would each see
-        the other's pending tick and keep the simulation alive forever.
+        :meth:`every` loops re-arm only while this holds.  Were they to
+        check :meth:`has_work` instead, two loops would each see the
+        other's pending tick and keep the simulation alive forever.
         Bulk sorted-run entries count as one pending item, which is
         enough: any such entry is foreground work by definition.
         """
-        return len(self._heap) > self._daemon_pending
+        return len(self._heap) > self._housekeeping
 
     def step(self) -> None:
         """Pop and execute the single next scheduled item."""

@@ -1,18 +1,15 @@
-"""The Monitor/ControlLoop re-arm discipline, in miniature."""
+"""The Monitor/ControlLoop tick registration, in miniature."""
 
 
 class Loop:
     def __init__(self, sim):
         self.sim = sim
-        self._scheduled = False
+        self.ticks = 0
+        self._loop = None
 
     def ensure_running(self):
-        if not self._scheduled:
-            self._scheduled = True
-            self.sim.schedule_daemon(1.0, self._tick)
+        if self._loop is None:
+            self._loop = self.sim.every(1.0, self.tick)
 
-    def _tick(self):
-        self.sim.daemon_fired()
-        self._scheduled = False
-        if self.sim.has_foreground_work():
-            self.ensure_running()
+    def tick(self):
+        self.ticks += 1

@@ -39,7 +39,7 @@ from taureau.control import (
     ReactiveConcurrency,
 )
 from taureau.core import FunctionSpec, PlatformConfig
-from taureau.obs import BurnRatePolicy, SloObjective
+from taureau.obs import BurnRatePolicy, RunRecorder, SloObjective
 
 QUANTILES = (99.0, 50.0, 95.0, 0.0, 100.0)
 
@@ -414,7 +414,7 @@ def test_a_lone_event_still_refreshes_its_rows(app_sandboxing):
     assert checker.ticks_mid_start, "no tick caught the provisioned warm start"
 
 
-def test_recorder_open_entries_lane_equals_a_recount():
+def test_recorder_open_entries_lane_equals_a_recount(monkeypatch):
     app = taureau.Platform(seed=7, tracing=False)
     app.with_kvstore()
 
@@ -430,21 +430,23 @@ def test_recorder_open_entries_lane_equals_a_recount():
                                 component="baas.kv"))
     app.with_resilience(ResiliencePolicy(retry=RetryPolicy(max_attempts=3)))
     app.with_durability()
-    app.with_recorder(interval_s=0.5)
-    recorder = app.recorder
     journal = app.durable.journal
     lane_reads = []
-    original_tick = recorder.tick
+    original_tick = RunRecorder.tick
 
-    def checked_tick():
-        original_tick()
+    def checked_tick(recorder):
+        original_tick(recorder)
         recount = sum(
             1 for entry in journal.entries.values() if not entry.completed)
         lane = recorder._series["durable.entries_open"]
         assert lane[-1] == recount
         lane_reads.append(recount)
 
-    recorder.tick = checked_tick
+    # The kernel's loop holds the tick registered at install, so the
+    # check wraps the class's tick before with_recorder().
+    monkeypatch.setattr(RunRecorder, "tick", checked_tick)
+    app.with_recorder(interval_s=0.5)
+    recorder = app.recorder
     for index in range(120):
         app.sim.schedule_at(index * 0.25, app.invoke, "write", index)
     app.run()

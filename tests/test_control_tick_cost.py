@@ -14,6 +14,7 @@ import pytest
 import taureau
 from taureau.control import ControlLoop, Policy
 from taureau.core import FaasPlatform, FunctionSpec, PlatformConfig
+from taureau.obs import RunRecorder
 from taureau.sim import Simulation
 
 
@@ -103,21 +104,19 @@ class TestChangeSet:
 
 
 class TestRecorderStartTotals:
-    def test_cold_fraction_lane_matches_the_starts_by_walk(self):
+    def test_cold_fraction_lane_matches_the_starts_by_walk(self, monkeypatch):
         app = taureau.Platform(
             seed=4, machines=1, machine_memory_mb=1024.0, tracing=False,
             config=PlatformConfig(keep_alive_s=6.0))
         names = [f"fn{index}" for index in range(6)]
         for name in names:
             app.register(FunctionSpec(name=name, handler=quick, memory_mb=256))
-        app.with_recorder(interval_s=1.0)
-        recorder = app.recorder
         previous = {}
         walked = []
-        original_tick = recorder.tick
+        original_tick = RunRecorder.tick
 
-        def walked_tick():
-            original_tick()
+        def walked_tick(recorder):
+            original_tick(recorder)
             cold = total = 0.0
             starts = app.faas.metrics.find("starts_by")
             for (__, kind), child in (starts.items() if starts else ()):
@@ -128,7 +127,11 @@ class TestRecorderStartTotals:
                     cold += delta
             walked.append(cold / total if total > 0 else 0.0)
 
-        recorder.tick = walked_tick
+        # The kernel's loop holds the tick registered at install, so the
+        # walk wraps the class's tick before with_recorder().
+        monkeypatch.setattr(RunRecorder, "tick", walked_tick)
+        app.with_recorder(interval_s=1.0)
+        recorder = app.recorder
         for index in range(90):
             app.sim.schedule_at(index * 0.4, app.invoke,
                                 names[index * index % len(names)])

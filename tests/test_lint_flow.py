@@ -133,6 +133,25 @@ class TestFixturePackages:
         assert "while True" in messages
         assert "schedule_after" in messages
 
+    def test_every_tick_is_a_scheduled_entry_point(self):
+        sources = {
+            "pkg/util.py": "import time\n\n\ndef stamp():\n    return time.time()\n",
+            "pkg/loop.py": (
+                "from pkg import util\n"
+                "\n"
+                "\n"
+                "class Loop:\n"
+                "    def __init__(self, sim):\n"
+                "        sim.every(1.0, self.tick)\n"
+                "\n"
+                "    def tick(self):\n"
+                "        util.stamp()\n"
+            ),
+        }
+        findings = FlowAnalysis().run_sources(sources).findings
+        assert [(f.rule, f.path) for f in findings] == [("TAU101", "pkg/loop.py")]
+        assert "time.time" in findings[0].message
+
 
 # ----------------------------------------------------------------------
 # Source suppressions carry over to the flow pass
