@@ -11,7 +11,7 @@ ephemeral state evaporates.  taureau already had the *hooks*
   one-shot crashes at fixed times, Poisson crash processes over a
   window, and component-level error/latency windows (partitions,
   degradations, BaaS brown-outs).
-- :class:`ChaosController` — compiles a plan against one platform.
+- :class:`ChaosController` — installs a plan on one platform.
   Every random choice (arrival gaps, targets, per-op error sampling)
   draws from dedicated ``sim.rng`` streams, so a given master seed
   replays the identical fault sequence; ``Platform.verify_determinism``
@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from taureau.sim import MetricRegistry
+from taureau.sim import MetricRegistry, RngRegistry
 
 __all__ = [
     "FaultInjected",
@@ -227,16 +227,31 @@ class _Window:
         return self.start_s <= now < self.end_s
 
 
-class ChaosController:
-    """A :class:`FaultPlan` compiled against (and installed on) one platform.
+def _firings(spec: FaultSpec, index: int, rng: RngRegistry) -> typing.Iterator[float]:
+    """A discrete spec's instants; a rate spec draws each from its stream
+    as it is asked for, over ``[start_s, end_s)``."""
+    if spec.at_s is not None:
+        yield spec.at_s
+        return
+    stream = rng.stream(f"chaos.schedule.{index}.{spec.kind}")
+    when = spec.start_s
+    while True:
+        when += stream.expovariate(spec.rate_hz)
+        if when >= spec.end_s:
+            return
+        yield when
 
-    Compilation happens at install time: every discrete fault's firing
-    instants are drawn from per-spec rng streams
-    (``chaos.schedule.<index>.<kind>``) and pushed onto the simulation
-    heap; the resulting :meth:`fault_schedule` is therefore fixed the
-    moment ``with_chaos`` returns and identical across same-seed
-    platforms.  Targets are chosen among *live* components at fire time
-    (from ``chaos.targets``), so a schedule survives topology changes.
+
+class ChaosController:
+    """A :class:`FaultPlan` installed on one platform.
+
+    Each discrete spec keeps one queued firing.  When it runs, the next
+    instant is drawn from the spec's own stream
+    (``chaos.schedule.<index>.<kind>``) in the order an up-front draw
+    would take, so cost follows the firings, not the declared window;
+    a plan installed late fires its overdue instants at once, in order.
+    Targets are chosen among *live* components at fire time (from
+    ``chaos.targets``), so a schedule survives topology changes.
     """
 
     def __init__(self, platform, plan: FaultPlan):
@@ -248,7 +263,6 @@ class ChaosController:
         self.events: typing.List[FaultEvent] = []
         #: Active and future error/latency windows.
         self.windows: typing.List[_Window] = []
-        self._schedule: typing.List[tuple] = []
         self._target_rng = self.sim.rng.stream("chaos.targets")
         self._gate_rng = self.sim.rng.stream("chaos.gate")
         self._compile()
@@ -267,46 +281,47 @@ class ChaosController:
                     extra_latency_s=spec.extra_latency_s,
                 )
                 self.windows.append(window)
-                self._schedule.append(
-                    (spec.start_s, spec.kind, spec.component, index)
-                )
                 self.sim.schedule_at(
                     max(spec.start_s, self.sim.now), self._open_window, window
                 )
             elif spec.kind in _DISCRETE_KINDS:
-                for when in self._firing_times(spec, index):
-                    self._schedule.append((when, spec.kind, "", index))
-                    self.sim.schedule_at(
-                        max(when, self.sim.now), self._fire, spec, when
-                    )
+                self._queue_next(spec, _firings(spec, index, self.sim.rng))
             else:
                 raise ValueError(f"unknown fault kind {spec.kind!r}")
-        self._schedule.sort()
-
-    def _firing_times(self, spec: FaultSpec, index: int) -> typing.List[float]:
-        if spec.at_s is not None:
-            return [spec.at_s]
-        rng = self.sim.rng.stream(f"chaos.schedule.{index}.{spec.kind}")
-        times = []
-        when = spec.start_s
-        while True:
-            when += rng.expovariate(spec.rate_hz)
-            if when >= spec.end_s:
-                return times
-            times.append(when)
 
     def fault_schedule(self) -> typing.List[tuple]:
-        """The compiled ``(time, kind, component, spec_index)`` schedule.
+        """The plan's ``(time, kind, component, spec_index)`` schedule.
 
-        Fixed at install time; the determinism property tests digest it.
+        Replayed from a fresh registry seeded like the live one, so it is
+        fixed at install and draws no live firing; the determinism
+        property tests digest it.
         """
-        return list(self._schedule)
+        fresh = RngRegistry(self.sim.rng.master_seed)
+        schedule = []
+        for index, spec in enumerate(self.plan.specs):
+            if spec.kind in _WINDOW_KINDS:
+                schedule.append((spec.start_s, spec.kind, spec.component, index))
+            else:
+                schedule += [(when, spec.kind, "", index)
+                             for when in _firings(spec, index, fresh)]
+        return sorted(schedule)
 
     # ------------------------------------------------------------------
     # Discrete fault firing
     # ------------------------------------------------------------------
 
-    def _fire(self, spec: FaultSpec, planned_at: float) -> None:
+    def _queue_next(self, spec: FaultSpec, firings: typing.Iterator[float]) -> None:
+        """Queue the spec's next firing; overdue ones all fire now, in order."""
+        now = self.sim.now
+        for when in firings:
+            if when > now:
+                self.sim.schedule_at(when, self._fire, spec, firings)
+                return
+            self.sim.schedule_at(now, self._fire, spec, None)
+
+    def _fire(self, spec: FaultSpec, firings) -> None:
+        if firings is not None:
+            self._queue_next(spec, firings)
         target, detail = self._inject(spec)
         if target is None:
             self._note(spec.kind, "(no target)", detail or "skipped", count=False)

@@ -13,6 +13,7 @@ from taureau.core.platform import (
     PeriodicTrigger,
     PlatformConfig,
     Sandbox,
+    SandboxError,
     ThrottledError,
 )
 from taureau.core.scheduler import (
@@ -48,6 +49,7 @@ __all__ = [
     "PeriodicTrigger",
     "PlatformConfig",
     "Sandbox",
+    "SandboxError",
     "ThrottledError",
     "Scheduler",
     "FirstFitScheduler",

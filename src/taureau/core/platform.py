@@ -45,7 +45,8 @@ from taureau.core.function import (
 from taureau.core.scheduler import FirstFitScheduler, Scheduler
 from taureau.sim import Event, MetricRegistry, Simulation
 
-__all__ = ["PlatformConfig", "Sandbox", "FaasPlatform", "PeriodicTrigger", "ThrottledError"]
+__all__ = ["PlatformConfig", "Sandbox", "FaasPlatform", "PeriodicTrigger",
+           "SandboxError", "ThrottledError"]
 
 #: Stale eviction-index entries tolerated beyond the live count before
 #: the index compacts, so small pools do not compact on every reuse.
@@ -54,6 +55,10 @@ _EVICTABLE_SLACK = 64
 
 class ThrottledError(Exception):
     """The platform refused an invocation (concurrency limit, no queue)."""
+
+
+class SandboxError(Exception):
+    """A sandbox was retired twice."""
 
 
 @dataclasses.dataclass
@@ -101,14 +106,17 @@ class Sandbox:
         self.machine = machine
         self.allocation = allocation
         self.created_at = created_at
-        self.expiry_token: typing.Optional[object] = None
+        #: End of the keep-alive window while idle and expiring.
+        self.idle_until: typing.Optional[float] = None
+        #: The one queued keep-alive check, as ``(when, handle)``.
+        self.expiry: typing.Optional[tuple] = None
         self.executions = 0
         #: Provisioned sandboxes never expire and are never evicted.
         self.provisioned = False
         #: Pre-warmed sandboxes accrue a standing charge until first
         #: reuse or expiry (see :meth:`FaasPlatform.prewarm`).
         self.prewarmed = False
-        #: Set when the hosting machine fails; a dead sandbox never runs.
+        #: Set when the sandbox is retired; a dead sandbox never runs.
         self.dead = False
         #: The attempt executing here (``None`` while idle or starting).
         self.attempt: typing.Optional["_Attempt"] = None
@@ -119,11 +127,6 @@ class Sandbox:
     @property
     def machine_id(self) -> str:
         return self.machine.machine_id if self.machine else "elastic"
-
-    def destroy(self) -> None:
-        if self.allocation is not None:
-            self.allocation.release()
-            self.allocation = None
 
 
 class PeriodicTrigger:
@@ -139,27 +142,28 @@ class PeriodicTrigger:
         self._payload_fn = payload_fn
         self.events: list = []
         self.cancelled = False
+        self._next: typing.Optional[int] = None
 
     @property
     def fired_count(self) -> int:
         return len(self.events)
 
     def cancel(self) -> None:
-        """Stop future firings (in-flight invocations complete normally)."""
-        self.cancelled = True
+        """Drop the queued firing (in-flight invocations complete normally)."""
+        if not self.cancelled:
+            self.cancelled = True
+            self._platform.sim.cancel(self._next)
 
-    def _delay(self, base: float) -> float:
+    def _arm(self, base: float) -> None:
         if self.jitter and self._rng is not None:
-            return base + self._rng.uniform(0.0, self.jitter)
-        return base
+            base += self._rng.uniform(0.0, self.jitter)
+        self._next = self._platform.sim.schedule_after(base, self._fire)
 
     def _fire(self) -> None:
-        if self.cancelled:
-            return
         tick = len(self.events)
+        self._arm(self.interval_s)  # first, so a payload_fn may cancel it
         payload = self._payload_fn(tick) if self._payload_fn else None
         self.events.append(self._platform.invoke(self.function_name, payload))
-        self._platform.sim.schedule_after(self._delay(self.interval_s), self._fire)
 
 
 class _PoolBucket(list):
@@ -172,9 +176,8 @@ class _PoolBucket(list):
         #: The key's first-touch position among the platform's pools: the
         #: eviction order's tie-break between equally old sandboxes.
         self.ordinal = ordinal
-        #: The key's provisioned sandboxes that are idle here or executing;
-        #: one between leaving the pool and starting is neither.
-        self.provisioned = 0
+        #: The key's live provisioned sandboxes, wherever they are, in order.
+        self.provisioned: dict = {}
 
 
 class _IdlePools(dict):
@@ -285,9 +288,8 @@ class _Attempt:
         self.last_dispatch_cold = False
         #: Root span of the invocation's trace (None when tracing is off).
         self.span = None
-        #: Bumped per execution start; lets a forced (machine-failure)
-        #: completion supersede the normally scheduled one.
-        self.execution_epoch = 0
+        #: Handle of the queued finish while executing (a crash cancels it).
+        self.finish: typing.Optional[int] = None
         #: The durable-execution journal entry shared by every attempt
         #: of this logical invocation (None when durability is off).
         self.journal_entry = None
@@ -382,6 +384,10 @@ class FaasPlatform:
         self._changed: typing.Optional[dict] = None
         # Cold plus warm starts so far; a plain count, not a metric.
         self._starts = 0
+        #: Sandboxes created, and retired by cause (see :meth:`_retire`):
+        #: plain counts, not metrics.
+        self.sandboxes_created = 0
+        self.sandboxes_retired: typing.Counter[str] = collections.Counter()
 
     # ------------------------------------------------------------------
     # Deployment API
@@ -535,8 +541,7 @@ class FaasPlatform:
         rng = self.sim.rng.stream(f"platform.periodic.{name}") if jitter else None
         trigger = PeriodicTrigger(self, name, interval_s, payload_fn,
                                   jitter=jitter, rng=rng)
-        first = interval_s if start_after_s is None else start_after_s
-        self.sim.schedule_after(trigger._delay(first), trigger._fire)
+        trigger._arm(interval_s if start_after_s is None else start_after_s)
         return trigger
 
     def warm_pool_size(self, name: str) -> int:
@@ -549,11 +554,11 @@ class FaasPlatform:
         Provisioned sandboxes are created immediately (off the request
         path), never expire, and are never evicted; they are billed per
         GB-second at the provisioned rate whether or not traffic arrives
-        (see :meth:`provisioned_cost_usd`).  Lowering the count retires
-        idle provisioned sandboxes newest-first; still-executing ones
-        demote to ordinary warm sandboxes (their standing charge stops
-        immediately and they pick up a normal keep-alive window when
-        they finish).
+        (see :meth:`provisioned_cost_usd`).  The count covers the pool's
+        live provisioned sandboxes, starting ones too.  Lowering it
+        retires idle ones newest-first; the rest demote, oldest first, to
+        ordinary warm sandboxes (their standing charge stops at once and
+        they pick up a normal keep-alive window when they finish).
         """
         spec = self.spec(name)
         if count < 0:
@@ -562,25 +567,18 @@ class FaasPlatform:
         bucket = self._idle[pool_key]
         if self._changed is not None:
             self._changed[pool_key] = None
-        existing = bucket.provisioned
+        provisioned = bucket.provisioned
+        existing = len(provisioned)
         if count < existing:
-            idle_provisioned = [
-                sandbox for sandbox in bucket if sandbox.provisioned
-            ]
-            busy_provisioned = [
-                sandbox
-                for sandbox in self._executing.values()
-                if sandbox.provisioned and self._pool_key(sandbox.spec) == pool_key
-            ]
-            excess = existing - count
-            for sandbox in list(reversed(idle_provisioned))[:excess]:
-                self._retire_sandbox(sandbox)  # records the series drop
-                excess -= 1
-            for sandbox in busy_provisioned[:excess]:
+            idle = [sandbox for sandbox in reversed(bucket) if sandbox.provisioned]
+            for sandbox in idle[:existing - count]:
+                self._retire(sandbox, "deprovisioned")  # records the series drop
+            demoted = list(provisioned)[:len(provisioned) - count]
+            for sandbox in demoted:
                 sandbox.provisioned = False
-                bucket.provisioned -= 1
+                del provisioned[sandbox]
                 self._provisioned_memory_mb -= sandbox.spec.memory_mb
-            if excess:
+            if demoted:
                 self.metrics.series("provisioned_memory_mb").record(
                     self.sim.now, self._provisioned_memory_mb
                 )
@@ -594,10 +592,10 @@ class FaasPlatform:
                 break
             sandbox.provisioned = True
             bucket.append(sandbox)
+            bucket.provisioned[sandbox] = None
             created += 1
         # Sandboxes created before capacity ran out stay provisioned, so
         # they are accounted for before the error below.
-        bucket.provisioned += created
         self._provisioned_memory_mb += created * spec.memory_mb
         self.metrics.series("provisioned_memory_mb").record(
             self.sim.now, self._provisioned_memory_mb
@@ -609,8 +607,8 @@ class FaasPlatform:
             )
 
     def provisioned_count(self, name: str) -> int:
-        """Provisioned sandboxes (idle or executing) for ``name``'s pool."""
-        return self._idle[self._pool_key(self.spec(name))].provisioned
+        """Live provisioned sandboxes (starting ones too) of ``name``'s pool."""
+        return len(self._idle[self._pool_key(self.spec(name))].provisioned)
 
     def provisioned_cost_usd(
         self, start: float = 0.0, end: typing.Optional[float] = None
@@ -774,7 +772,7 @@ class FaasPlatform:
             raise ValueError("machine is not part of this platform's cluster")
         orphaned: list = []
         for sandbox in list(self._sandboxes_on.get(machine.machine_id, ())):
-            self._retire_sandbox(sandbox)
+            self._retire(sandbox, "machine_failed")
             attempt = self._interrupt(sandbox)
             if attempt is not None:
                 self.metrics.counter("machine_failure_reexecutions").add()
@@ -798,14 +796,13 @@ class FaasPlatform:
         a sandbox crash surfaces as an ERROR attempt carrying a
         :class:`~taureau.chaos.FaultInjected` — it consumes the
         function's ``max_retries`` budget and, once that is exhausted,
-        becomes a failed record.  This is the failure mode client-side
-        resilience policies exist to absorb.  Nothing interrupted is
-        billed.
+        becomes a failed record: the failure mode client-side resilience
+        policies exist to absorb.  Nothing interrupted is billed.  A
+        sandbox already retired raises :class:`SandboxError`.
         """
         from taureau.chaos.faults import FaultInjected
 
-        self._retire_sandbox(sandbox)
-        self.metrics.counter("sandbox_crashes").add()
+        self._retire(sandbox, "crashed")
         attempt = self._interrupt(sandbox)
         if attempt is None:
             self._drain_pending()
@@ -822,20 +819,15 @@ class FaasPlatform:
     def _interrupt(self, sandbox: Sandbox) -> typing.Optional[_Attempt]:
         """Stop the attempt executing in a crashed ``sandbox``, if any.
 
-        Releases its dispatch slot and CPU share and invalidates its
-        queued finish; returns the attempt (``None`` for an idle sandbox).
+        Releases its dispatch slot and CPU share and cancels its queued
+        finish; returns the attempt (``None`` for an idle sandbox).
         """
         attempt = sandbox.attempt
         if attempt is None:
             return None
         sandbox.attempt = None
         del self._executing[attempt]
-        if sandbox.provisioned:
-            pool_key = self._pool_key(sandbox.spec)
-            self._idle[pool_key].provisioned -= 1
-            if self._changed is not None:
-                self._changed[pool_key] = None
-        attempt.execution_epoch += 1  # invalidate the queued finish
+        self.sim.cancel(attempt.finish)
         self._exit_cpu(sandbox, attempt.spec)
         self._release_slot(attempt.spec.name)
         return attempt
@@ -973,10 +965,8 @@ class FaasPlatform:
                 del idle[position]
                 if self._changed is not None:
                     self._changed[pool_key] = None
-                if sandbox.provisioned:
-                    idle.provisioned -= 1  # back when it starts executing
                 self._leave_idle(sandbox)
-                sandbox.expiry_token = None
+                sandbox.idle_until = None
                 if sandbox.prewarmed:
                     # First reuse ends the pre-warm standing charge.
                     sandbox.prewarmed = False
@@ -990,25 +980,22 @@ class FaasPlatform:
         return spec.name
 
     def _create_sandbox(self, spec: FunctionSpec) -> typing.Optional[Sandbox]:
-        if self.cluster is None:
-            return Sandbox(
-                spec, None, None, self.sim.now,
-                sandbox_id=f"sb{next(self._sandbox_ids)}",
+        machine = allocation = None
+        if self.cluster is not None:
+            machine = self._place_with_eviction(spec)
+            if machine is None:
+                return None
+            allocation = machine.allocate(
+                ResourceVector(cpu_cores=0, memory_mb=spec.memory_mb),
+                label=f"sandbox:{spec.name}",
             )
-        machine = self._place_with_eviction(spec)
-        if machine is None:
-            return None
-        allocation = machine.allocate(
-            ResourceVector(cpu_cores=0, memory_mb=spec.memory_mb),
-            label=f"sandbox:{spec.name}",
-        )
-        self._account_sandbox_memory(spec.memory_mb)
-        self._tenants_on[machine.machine_id][spec.tenant] += 1
-        sandbox = Sandbox(
-            spec, machine, allocation, self.sim.now,
-            sandbox_id=f"sb{next(self._sandbox_ids)}",
-        )
-        self._sandboxes_on[machine.machine_id][sandbox] = None
+            self._account_sandbox_memory(spec.memory_mb)
+            self._tenants_on[machine.machine_id][spec.tenant] += 1
+        sandbox = Sandbox(spec, machine, allocation, self.sim.now,
+                          sandbox_id=f"sb{next(self._sandbox_ids)}")
+        if machine is not None:
+            self._sandboxes_on[machine.machine_id][sandbox] = None
+        self.sandboxes_created += 1
         return sandbox
 
     def _place_with_eviction(self, spec: FunctionSpec):
@@ -1022,7 +1009,7 @@ class FaasPlatform:
             victim = self._pop_eviction_victim()
             if victim is None:
                 return None
-            self._reclaim(victim)
+            self._retire(victim, "evicted")
 
     def _pop_eviction_victim(self) -> typing.Optional[Sandbox]:
         """The oldest idle non-provisioned sandbox, off the eviction index.
@@ -1053,28 +1040,35 @@ class FaasPlatform:
             heap[:] = [entry for entry in heap if entry[3].idle_seq == entry[2]]
             heapq.heapify(heap)
 
-    def _reclaim(self, sandbox: Sandbox) -> None:
-        self._retire_sandbox(sandbox)
-        self._hot.sandbox_evictions.add()
+    def _retire(self, sandbox: Sandbox, cause: str) -> None:
+        """The one way out for a sandbox, wherever it is.
 
-    def _retire_sandbox(self, sandbox: Sandbox) -> None:
-        """Full cleanup for one sandbox, wherever it currently lives."""
+        ``cause`` is ``expired``, ``evicted``, ``machine_failed``,
+        ``crashed``, ``no_keep_alive`` or ``deprovisioned``, counted here
+        and nowhere else.  A second retire raises :class:`SandboxError`.
+        """
+        if sandbox.dead:
+            raise SandboxError(f"sandbox {sandbox.sandbox_id} retired twice ({cause})")
+        sandbox.dead = True
         pool_key = self._pool_key(sandbox.spec)
         bucket = self._idle[pool_key]
-        if sandbox in bucket:
+        idle = sandbox in bucket
+        if idle:
             bucket.remove(sandbox)
-            if sandbox.provisioned:
-                bucket.provisioned -= 1
-            if self._changed is not None:
-                self._changed[pool_key] = None
+        if (idle or sandbox.provisioned) and self._changed is not None:
+            self._changed[pool_key] = None
         self._leave_idle(sandbox)
-        # A retired sandbox's pending keep-alive timer must not expire it.
-        sandbox.expiry_token = None
-        if sandbox.machine is not None and sandbox.allocation is not None:
+        if sandbox.expiry is not None:
+            self.sim.cancel(sandbox.expiry[1])
+            sandbox.expiry = None
+        if sandbox.allocation is not None:
             self._account_sandbox_memory(-sandbox.spec.memory_mb)
             self._tenants_on[sandbox.machine.machine_id][sandbox.spec.tenant] -= 1
             self._sandboxes_on[sandbox.machine.machine_id].pop(sandbox, None)
+            sandbox.allocation.release()
+            sandbox.allocation = None
         if sandbox.provisioned:
+            del bucket.provisioned[sandbox]
             self._provisioned_memory_mb -= sandbox.spec.memory_mb
             self.metrics.series("provisioned_memory_mb").record(
                 self.sim.now, self._provisioned_memory_mb
@@ -1082,40 +1076,59 @@ class FaasPlatform:
         if sandbox.prewarmed:
             sandbox.prewarmed = False
             self._account_prewarm(-sandbox.spec.memory_mb)
-        sandbox.dead = True
-        sandbox.destroy()
+        if cause in ("evicted", "expired"):
+            self._hot.sandbox_evictions.add()
+            if cause == "expired":
+                self._hot.sandbox_expirations.add()
+        elif cause == "crashed":
+            self.metrics.counter("sandbox_crashes").add()
+        self.sandboxes_retired[cause] += 1
 
     def _return_to_pool(self, sandbox: Sandbox) -> None:
-        pool_key = self._pool_key(sandbox.spec)
-        if sandbox.provisioned:
-            self._idle[pool_key].append(sandbox)
-            if self._changed is not None:
-                self._changed[pool_key] = None
-            return
+        """Put a sandbox back; an expiring one keeps one queued check.
+
+        A check queued at or before the new deadline stays queued; a
+        later one (an override shortened the window) is cancelled.
+        """
         keep_alive = self._keep_alive_overrides.get(
             sandbox.spec.name, self.config.effective_keep_alive()
         )
-        if keep_alive <= 0:
-            self._retire_sandbox(sandbox)
+        if keep_alive <= 0 and not sandbox.provisioned:
+            self._retire(sandbox, "no_keep_alive")
             return
-        token = object()
-        sandbox.expiry_token = token
+        pool_key = self._pool_key(sandbox.spec)
         bucket = self._idle[pool_key]
         bucket.append(sandbox)
         if self._changed is not None:
             self._changed[pool_key] = None
+        if sandbox.provisioned:
+            return
         sandbox.idle_seq = seq = next(self._idle_seqs)
         heapq.heappush(
             self._evictable, (sandbox.created_at, bucket.ordinal, seq, sandbox)
         )
         self._evictable_live += 1
-        self.sim.schedule_after(keep_alive, self._expire, sandbox, token)
+        sandbox.idle_until = until = self.sim.now + keep_alive
+        if sandbox.expiry is not None:
+            if sandbox.expiry[0] <= until:
+                return
+            self.sim.cancel(sandbox.expiry[1])
+        sandbox.expiry = (until, self.sim.schedule_at(until, self._expire, sandbox))
 
-    def _expire(self, sandbox: Sandbox, token: object) -> None:
-        if sandbox.expiry_token is not token:
-            return  # reused (or already reclaimed) in the meantime
-        self._reclaim(sandbox)
-        self._hot.sandbox_expirations.add()
+    def _expire(self, sandbox: Sandbox) -> None:
+        """The keep-alive check: retire an idle sandbox whose window ran out.
+
+        One reused since the check was armed is executing (its return
+        arms a new check) or idle with a later deadline (re-armed there).
+        """
+        sandbox.expiry = None
+        until = sandbox.idle_until
+        if until is None:
+            return
+        if self.sim.now < until:
+            sandbox.expiry = (until, self.sim.schedule_at(until, self._expire, sandbox))
+            return
+        self._retire(sandbox, "expired")
         self._drain_pending()
 
     def _account_sandbox_memory(self, delta_mb: float) -> None:
@@ -1140,14 +1153,8 @@ class FaasPlatform:
         record.start_time = self.sim.now
         record.machine_id = sandbox.machine_id
         sandbox.executions += 1
-        attempt.execution_epoch += 1
         self._executing[attempt] = sandbox
         sandbox.attempt = attempt
-        if sandbox.provisioned:
-            pool_key = self._pool_key(sandbox.spec)
-            self._idle[pool_key].provisioned += 1
-            if self._changed is not None:
-                self._changed[pool_key] = None
 
         # Race-sanitizer boundary checks (Simulation(sanitize=True)): the
         # payload is entering a sandbox, so any drift since it last crossed
@@ -1214,7 +1221,7 @@ class FaasPlatform:
             exec_duration = effective
         if execute_span is not None:
             execute_span.finish(self.sim.now + exec_duration, status=status.value)
-        self.sim.schedule_after(
+        attempt.finish = self.sim.schedule_after(
             exec_duration,
             self._finish,
             attempt,
@@ -1223,7 +1230,6 @@ class FaasPlatform:
             response,
             error,
             exec_duration,
-            attempt.execution_epoch,
         )
 
     def _enter_cpu(self, sandbox: Sandbox, spec: FunctionSpec) -> float:
@@ -1249,13 +1255,9 @@ class FaasPlatform:
         response: object,
         error: typing.Optional[BaseException],
         exec_duration: float,
-        epoch: int,
     ) -> None:
-        if attempt.execution_epoch != epoch:
-            return  # superseded by a machine-failure / chaos re-execution
         spec = attempt.spec
-        record = attempt.record
-        self._executing.pop(attempt, None)
+        self._executing.pop(attempt)
         sandbox.attempt = None
         self._exit_cpu(sandbox, spec)
         self._release_slot(spec.name)

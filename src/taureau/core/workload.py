@@ -24,7 +24,7 @@ output element-for-element (property-tested in
 ``tests/test_core_workload.py``).  Numpy's ``Generator`` draws variates
 sequentially whether asked one at a time or in blocks, and ``cumsum``
 accumulates left-to-right, so vectorization changes no values — only
-speed.  Get a stream with ``sim.rng.numpy_stream(name)``.
+speed.  Seed a generator with ``sim.rng.numpy_seed(name)``.
 
 Scalar generators return sorted lists, vectorized ones sorted arrays,
 all in ``[0, horizon)``; :func:`replay` bulk-schedules either through a

@@ -197,26 +197,6 @@ class RaceSanitizer:
             )
         return digest
 
-    def check_inbound(self, value: object, now: float, site: str) -> None:
-        """Drift check only (see :meth:`inbound` for the combined pass)."""
-        self.inbound(value, now, site)
-
-    def watch(self, value: object, now: float, site: str,
-              digest: typing.Optional[str] = None) -> None:
-        """Pin ``value``'s content as it crosses a sandbox boundary.
-
-        ``digest`` lets a caller that already digested the value (the
-        post-handler check does) skip the second serialization — the
-        digest is the hot cost on the boundary path.
-        """
-        if not _is_watchable(value):
-            return
-        if len(self._watched) >= self.max_watch:
-            self._watched.popitem(last=False)
-        if digest is None:
-            digest = _fingerprint(value)
-        self._watched[id(value)] = (value, digest, site)
-
     def check_handler_boundary(
         self,
         payload: object,
@@ -227,10 +207,8 @@ class RaceSanitizer:
     ) -> None:
         """Post-execution check: the handler must not mutate its payload.
 
-        The two boundary watches are inlined (not routed through
-        :meth:`watch`) — this runs once per invocation and the method
-        dispatch plus repeated watchability checks were measurable
-        against the 10% overhead budget.
+        Then pins the payload and response as they cross the boundary.
+        This runs once per invocation, so it digests each value once.
         """
         watched = self._watched
         if payload_digest_before is not None:
@@ -251,11 +229,6 @@ class RaceSanitizer:
             if len(watched) >= self.max_watch:
                 watched.popitem(last=False)
             watched[id(response)] = (response, _fingerprint(response), site)
-
-    def digest_before(self, payload: object) -> typing.Optional[str]:
-        if not _is_watchable(payload):
-            return None
-        return _fingerprint(payload)
 
 
 def diff_states(first: object, second: object, prefix: str = "",

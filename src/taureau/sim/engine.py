@@ -13,13 +13,15 @@ Two throughput paths exist beyond per-event :meth:`Simulation.schedule_at`:
   of N heap pushes; the kernel drains a run with an O(1) cursor increment
   per event, falling back to the queue only when an interleaved event
   actually precedes the run head.
-- :meth:`Simulation.run` drains same-timestamp bursts in a tight inner
-  loop without re-entering :meth:`step`.
+- :meth:`Simulation.run` drains the queue in one loop without
+  re-entering :meth:`step`.
 
 Housekeeping loops (the SLO monitor, the control loop, the run recorder)
 register with :meth:`Simulation.every`: the kernel ticks them while
 foreground work remains, lets them sleep when none does and wakes them
-when work is next scheduled, so no loop keeps a drained run alive.
+when work is next scheduled, so no loop keeps a drained run alive.  An
+entry no longer wanted is dropped with :meth:`Simulation.cancel`, so no
+callback re-checks its own staleness.
 
 Both preserve the determinism contract exactly: every scheduled entry has
 a unique ``(when, seq)`` key, sequence numbers are handed out in call
@@ -57,9 +59,6 @@ class _SortedRun:
         self.callback = callback
         self.pos = 0
         self.seq0 = seq0
-
-    def remaining(self) -> int:
-        return len(self.times) - self.pos
 
 
 class _Loop:
@@ -119,6 +118,9 @@ class Simulation:
         #: last tick, in the order they stopped.  The next scheduled
         #: entry wakes them.
         self._dormant: list = []
+        #: Handles of queued entries :meth:`cancel` dropped; each leaves
+        #: the set when its entry reaches the head of the queue.
+        self._cancelled: set = set()
         self._running = False
         self._ids: dict = {}
         #: Deadline a ``run(until=<time>)`` call is honoring, consulted by
@@ -141,8 +143,11 @@ class Simulation:
     # Scheduling primitives
     # ------------------------------------------------------------------
 
-    def schedule_at(self, when: float, callback, *args) -> None:
-        """Run ``callback(*args)`` at absolute simulated time ``when``."""
+    def schedule_at(self, when: float, callback, *args) -> int:
+        """Run ``callback(*args)`` at absolute simulated time ``when``.
+
+        Returns the entry's handle for :meth:`cancel`.
+        """
         if when < self.now:
             raise SimulationError(
                 f"cannot schedule at t={when} before current time t={self.now}"
@@ -151,10 +156,34 @@ class Simulation:
             self._wake()
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, callback, args))
+        return self._seq
 
-    def schedule_after(self, delay: float, callback, *args) -> None:
+    def schedule_after(self, delay: float, callback, *args) -> int:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        self.schedule_at(self.now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def cancel(self, handle: int) -> None:
+        """Drop the queued entry whose :meth:`schedule_at` returned ``handle``.
+
+        It never runs, never advances :attr:`now` and stops counting as
+        work at once, for every reader of the queue (so :meth:`every`
+        loops go dormant on it).  Cancelling it twice is harmless;
+        ``None`` raises at once, an entry that already ran at the drain.
+        """
+        if handle is None or not 0 < handle <= self._seq:
+            raise SimulationError(f"cancel({handle!r}): no such entry")
+        self._cancelled.add(handle)
+
+    def _drop_cancelled(self) -> None:
+        """Pop cancelled entries off the queue head; a handle still left
+        when the queue is empty named an entry that had already run."""
+        heap, cancelled = self._heap, self._cancelled
+        while heap and heap[0][1] in cancelled:
+            cancelled.remove(heapq.heappop(heap)[1])
+        if cancelled and not heap:
+            stale = sorted(cancelled)
+            cancelled.clear()
+            raise SimulationError(f"cancel() of entries that already ran: {stale}")
 
     def every(self, interval_s: float, tick) -> _Loop:
         """Call ``tick()`` every ``interval_s`` seconds while work remains.
@@ -355,7 +384,9 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def has_work(self) -> bool:
-        """Whether anything at all is still scheduled."""
+        """Whether any entry that was not cancelled is still scheduled."""
+        if self._cancelled:
+            self._drop_cancelled()
         return bool(self._heap)
 
     def has_foreground_work(self) -> bool:
@@ -366,21 +397,26 @@ class Simulation:
         other's pending tick and keep the simulation alive forever.
         Bulk sorted-run entries count as one pending item, which is
         enough: any such entry is foreground work by definition.
+        Cancelled entries are never loop ticks, and never count.
         """
-        return len(self._heap) > self._housekeeping
+        return len(self._heap) - len(self._cancelled) > self._housekeeping
 
     def step(self) -> None:
         """Pop and execute the single next scheduled item."""
+        if self._cancelled:
+            self._drop_cancelled()
         if not self._heap:
             raise SimulationError("step() with no scheduled work")
         when, _tie, callback, args = heapq.heappop(self._heap)
         self.now = when
         if self.sanitizer is not None and self._heap and self._heap[0][0] == when:
-            self.sanitizer.note_collision(
-                when,
-                self._describe_entry(callback, args),
-                self._describe_entry(self._heap[0][2], self._heap[0][3]),
-            )
+            # A cancelled entry is never a partner; the kernel orders loops.
+            __, seq, other, other_args = self._heap[0]
+            if seq not in self._cancelled and not (
+                    isinstance(callback, _Loop) and isinstance(other, _Loop)):
+                self.sanitizer.note_collision(
+                    when, self._describe_entry(callback, args),
+                    self._describe_entry(other, other_args))
         if callback is self._drain_run:
             # Honor the single-entry contract for bulk runs.
             self._drain_run(args[0], limit=1)
@@ -402,6 +438,8 @@ class Simulation:
 
     def peek(self) -> float:
         """Time of the next scheduled item, or ``inf`` when idle."""
+        if self._cancelled:
+            self._drop_cancelled()
         return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: typing.Optional[object] = None) -> object:
@@ -416,7 +454,7 @@ class Simulation:
         self._running = True
         try:
             if until is None:
-                self._run_all()
+                self._run_until(float("inf"))
                 return None
             if isinstance(until, Event):
                 sentinel = until
@@ -439,49 +477,31 @@ class Simulation:
         finally:
             self._running = False
 
-    def _run_all(self) -> None:
-        """Drain every scheduled entry (the ``run(until=None)`` hot loop).
-
-        Same-timestamp bursts — arrival floods, fan-out completions — are
-        drained in the tight inner loop below without re-entering
-        :meth:`step`, which is the single biggest per-event saving over
-        the seed kernel.  The sanitizer path keeps the step-by-step loop
-        so collision diagnostics still see every pop.
-        """
-        if self.sanitizer is not None:
-            while self.has_work():
-                self.step()
-            return
-        drain_run = self._drain_run
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            when, _tie, callback, args = pop(heap)
-            self.now = when
-            if callback is drain_run:
-                drain_run(args[0])
-            else:
-                callback(*args)
-            while heap and heap[0][0] == when:
-                _w, _tie, callback, args = pop(heap)
-                if callback is drain_run:
-                    drain_run(args[0])
-                else:
-                    callback(*args)
-
     def _run_until(self, deadline: float) -> None:
-        """Drain entries with ``when <= deadline`` (``run(until=<time>)``)."""
+        """Run every entry due by ``deadline`` (the ``run()`` hot loop).
+
+        It pops entries itself instead of re-entering :meth:`step`, the
+        biggest per-event saving over the seed kernel.  The sanitizer
+        path keeps the step-by-step loop so collision diagnostics still
+        see every pop.
+        """
         if self.sanitizer is not None:
             while self.has_work() and self.peek() <= deadline:
                 self.step()
             return
         drain_run = self._drain_run
         heap = self._heap
+        cancelled = self._cancelled
         pop = heapq.heappop
         while heap and heap[0][0] <= deadline:
-            when, _tie, callback, args = pop(heap)
+            when, seq, callback, args = pop(heap)
+            if cancelled and seq in cancelled:
+                cancelled.remove(seq)
+                continue
             self.now = when
             if callback is drain_run:
                 drain_run(args[0])
             else:
                 callback(*args)
+        if cancelled:
+            self._drop_cancelled()

@@ -40,7 +40,6 @@ class RngRegistry:
     def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self._streams: dict = {}
-        self._numpy_streams: dict = {}
 
     def stream(self, name: str) -> random.Random:
         """The ``random.Random`` for ``name`` (created on first use)."""
@@ -52,21 +51,5 @@ class RngRegistry:
         """A seed suitable for ``numpy.random.default_rng``."""
         return derive_seed(self.master_seed, name)
 
-    def numpy_stream(self, name: str):
-        """The ``numpy.random.Generator`` for ``name`` (created on first use).
-
-        Like :meth:`stream` but vectorized: an independent, reproducibly
-        seeded PCG64 generator per name, for the bulk arrival/workload
-        kernels.  Numpy streams are cached separately from the scalar
-        ones, so mixing ``stream(n)`` and ``numpy_stream(n)`` is safe.
-        """
-        generator = self._numpy_streams.get(name)
-        if generator is None:
-            import numpy
-
-            generator = numpy.random.default_rng(self.numpy_seed(name))
-            self._numpy_streams[name] = generator
-        return generator
-
     def __contains__(self, name: str) -> bool:
-        return name in self._streams or name in self._numpy_streams
+        return name in self._streams

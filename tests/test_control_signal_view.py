@@ -4,12 +4,12 @@ Every read the :class:`~taureau.control.ControlLoop` makes per tick costs
 in proportion to what changed: the platform records which functions and
 pool keys changed, the loop refreshes only those rows of its signal
 table, histograms memoise their last percentile, the platform keeps
-per-pool provisioned and per-function pending counts, and counter
+per-pool provisioned sets and per-function pending counts, and counter
 deltas are keyed on the child metric.  The references here are the reads
 those replaced: name-keyed deltas over freshly sorted families, the
-O(pending) throttle-queue scan, the O(idle + executing) provisioned scan
-and a percentile computed from sorted buckets, for every function at
-every tick.  Seeded runs with throttling, per-tenant
+O(pending) throttle-queue scan, a scan of every live sandbox for the
+provisioned count and a percentile computed from sorted buckets, for
+every function at every tick.  Seeded runs with throttling, per-tenant
 (``app_sandboxing``) and per-function pools, prewarms, provisioned
 concurrency moving up and down (capacity failures included), machine
 failures and all three reference policies must show every
@@ -66,6 +66,7 @@ def scan_pending(faas, name):
 
 
 def scan_provisioned(faas, name):
+    """Provisioned sandboxes idle or executing (not starting)."""
     pool_key = faas._pool_key(faas.spec(name))
     idle = sum(1 for s in faas._idle.get(pool_key, ()) if s.provisioned)
     busy = sum(
@@ -138,7 +139,7 @@ class ReferenceView:
             "cold": {f: d for (f, kind), d in starts.items() if kind == "cold"},
             "warm": {f: d for (f, kind), d in starts.items() if kind != "cold"},
             "queue": {name: scan_pending(faas, name) for name in names},
-            "provisioned": {name: scan_provisioned(faas, name) for name in names},
+            "provisioned": {name: live_provisioned(faas, name) for name in names},
             "interarrival": histograms["interarrival_by"],
             "latency": histograms["e2e_latency_by"],
             "alerts": alerts,
@@ -246,7 +247,7 @@ class ViewChecker(Policy):
             latency = ref["latency"].get(name)
             assert signals.latency_mean(name) == (
                 latency.mean if latency is not None and latency.count else 0.0)
-            if live_provisioned(faas, name) != ref["provisioned"][name]:
+            if scan_provisioned(faas, name) != ref["provisioned"][name]:
                 self.ticks_mid_start += 1
         self.ticks += 1
         self.ticks_with_pending += bool(sum(ref["queue"].values()))
@@ -306,12 +307,12 @@ def drive(seed, app_sandboxing, horizon_s=60.0, rate_hz=12.0,
 
     def provision(name, count):
         faas = app.faas
-        assert faas.provisioned_count(name) == scan_provisioned(faas, name)
+        assert faas.provisioned_count(name) == live_provisioned(faas, name)
         try:
             faas.set_provisioned_concurrency(name, count)
         except RuntimeError:
             failures.append((name, count))
-        assert faas.provisioned_count(name) == scan_provisioned(faas, name)
+        assert faas.provisioned_count(name) == live_provisioned(faas, name)
 
     for __ in range(24):
         app.sim.schedule_at(
@@ -336,7 +337,8 @@ def test_every_signal_matches_the_reference_reads(seed, app_sandboxing):
     assert failures, "no provisioned request ran out of capacity"
     assert checker.ticks_with_alerts, "no burn-rate alert reached the loop"
     # A provisioned sandbox between leaving the pool and starting is
-    # neither idle nor executing, so the scan (and the count) skip it.
+    # neither idle nor executing: the old scan skipped it, the count
+    # (checked against the live reference above) includes it.
     assert checker.ticks_mid_start, "no tick caught a provisioned warm start"
     assert checker.ticks_partly_active, "every tick called every function active"
 

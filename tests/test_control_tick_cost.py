@@ -41,8 +41,9 @@ class ActiveProbe(Policy):
 def log_events(faas, events):
     """Append the function of every platform event to ``events``.
 
-    A keep-alive timer counts only when it expires its sandbox; a stale
-    one (the sandbox was reused since) changes nothing.
+    A keep-alive check counts only when it expires its sandbox; one that
+    finds the sandbox reused since (executing, or idle with a later
+    deadline) changes nothing.
     """
     def logged(method, name_of):
         def wrapper(*args, **kwargs):
@@ -56,8 +57,10 @@ def log_events(faas, events):
     for method in ("_start", "_finish"):
         setattr(faas, method, logged(
             getattr(faas, method), lambda attempt, *rest: attempt.spec.name))
-    faas._expire = logged(faas._expire, lambda sandbox, token: (
-        sandbox.spec.name if sandbox.expiry_token is token else None))
+    faas._expire = logged(faas._expire, lambda sandbox: (
+        sandbox.spec.name
+        if sandbox.idle_until is not None and faas.sim.now >= sandbox.idle_until
+        else None))
 
 
 class TestChangeSet:

@@ -207,6 +207,19 @@ class TestPeriodicInvocation:
         assert trigger.fired_count == 3
         assert trigger.cancelled
 
+    def test_a_payload_function_may_cancel_its_trigger(self):
+        sim, platform, seen = self._platform()
+
+        def payload(tick):
+            if tick == 2:
+                trigger.cancel()
+            return tick
+
+        trigger = platform.schedule_periodic("cron", 10.0, payload_fn=payload)
+        sim.run()
+        assert [event for __, event in seen] == [0, 1, 2]
+        assert trigger.fired_count == 3
+
     def test_validation(self):
         sim, platform, __ = self._platform()
         with pytest.raises(ValueError):

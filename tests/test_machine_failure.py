@@ -82,14 +82,17 @@ class TestMachineFailure:
             name="quick", handler=lambda e, c: c.charge(0.01), memory_mb=512,
         ))
         platform.invoke_sync("quick", None)
+        finished_at = sim.now
         victim = next(
             machine for machine in cluster.machines
             if platform._sandboxes_on[machine.machine_id]
         )
         platform.fail_machine(victim)
-        # The dead sandbox's keep-alive timer (300 s) still fires, and
-        # still holds the simulation open until then, but expires nothing.
+        # Retiring the dead sandbox cancels its keep-alive check (300 s),
+        # so the run ends at its last real event and expires nothing.
         sim.run()
+        assert sim.now == pytest.approx(0.333, abs=1e-3)
+        assert sim.now == finished_at
         snapshot = platform.metrics.snapshot()
         assert "faas.sandbox_evictions" not in snapshot
         assert "faas.sandbox_expirations" not in snapshot

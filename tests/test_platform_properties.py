@@ -69,6 +69,15 @@ def run_plan(plan, keep_alive=5.0, concurrency=None, cluster=None, retries=0):
     return sim, platform, [event.value for event in events]
 
 
+def assert_sandboxes_conserved(platform):
+    """After a drain, each created sandbox is idle or retired once."""
+    idle = sum(len(bucket) for bucket in platform._idle.values())
+    retired = platform.sandboxes_retired
+    assert platform.sandboxes_created == idle + sum(retired.values())
+    assert platform.metrics.counter("sandbox_evictions").value == (
+        retired["evicted"] + retired["expired"])
+
+
 class TestAccountingInvariants:
     @given(plan=plans)
     @settings(max_examples=40, deadline=None)
@@ -111,6 +120,8 @@ class TestAccountingInvariants:
         sim, platform, records = run_plan(plan, keep_alive=1.0, cluster=cluster)
         sim.run()  # drain all keep-alive expiries
         assert platform._sandbox_memory_mb == 0.0
+        assert_sandboxes_conserved(platform)
+        assert platform.sandboxes_retired["expired"] == platform.sandboxes_created
         for machine in cluster.machines:
             assert machine.used.memory_mb == 0.0
             assert machine.used.cpu_cores == 0.0
@@ -199,4 +210,5 @@ class TestChaosInvariants:
         for machine in cluster.machines:
             assert machine.used.cpu_cores == 0.0
         sim.run()  # flush keep-alive expiries
-        assert platform._sandbox_memory_mb >= 0.0
+        assert platform._sandbox_memory_mb == 0.0
+        assert_sandboxes_conserved(platform)

@@ -1,0 +1,154 @@
+"""The sandbox lifecycle: one exit, one keep-alive check, provisioned sets.
+
+Every sandbox leaves through ``FaasPlatform._retire(sandbox, cause)``,
+which counts the cause once; a second retire raises ``SandboxError``.
+An idle sandbox has at most one queued keep-alive check, and a retired
+sandbox's check is cancelled, so it never holds a drained run open.  A
+pool's provisioned count covers every live provisioned sandbox,
+starting ones included.
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+from taureau.cluster import Cluster
+from taureau.core import FaasPlatform, FunctionSpec, PlatformConfig, SandboxError
+from taureau.sim import Simulation
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/workloads.py)
+
+
+def quick(event, ctx):
+    ctx.charge(0.05)
+
+
+def make(keep_alive_s=600.0):
+    sim = Simulation(seed=0)
+    platform = FaasPlatform(
+        sim,
+        cluster=Cluster.homogeneous(2, cpu_cores=8, memory_mb=4096),
+        config=PlatformConfig(keep_alive_s=keep_alive_s),
+    )
+    platform.register(FunctionSpec(name="f", handler=quick, memory_mb=256))
+    return sim, platform
+
+
+def live_provisioned(platform):
+    return [sandbox for sandboxes in platform._sandboxes_on.values()
+            for sandbox in sandboxes if sandbox.provisioned]
+
+
+def assert_conserved(platform):
+    """Each created sandbox is idle, executing or retired once, by cause."""
+    alive = (sum(len(bucket) for bucket in platform._idle.values())
+             + len(platform._executing))
+    retired = platform.sandboxes_retired
+    assert platform.sandboxes_created == alive + sum(retired.values())
+    assert platform.metrics.counter("sandbox_evictions").value == (
+        retired["evicted"] + retired["expired"])
+    return retired
+
+
+def test_a_cancelled_trigger_does_not_hold_the_run_open():
+    sim, platform = make(keep_alive_s=0.5)
+    trigger = platform.schedule_periodic("f", 3600.0, start_after_s=1.0)
+    sim.run(until=2.0)
+    assert trigger.fired_count == 1
+    trigger.cancel()
+    trigger.cancel()
+    assert trigger.cancelled
+    sim.run()
+    assert sim.now == 2.0
+    assert trigger.fired_count == 1
+
+
+def test_re_setting_the_count_mid_start_adds_no_sandbox():
+    sim, platform = make()
+    platform.set_provisioned_concurrency("f", 2)
+    done = platform.invoke("f")  # takes an idle provisioned sandbox
+    platform.set_provisioned_concurrency("f", 2)  # before it starts
+    sim.run()
+    assert done.value.succeeded and not done.value.cold_start
+    assert len(live_provisioned(platform)) == 2
+    assert platform.provisioned_count("f") == 2
+    assert platform._provisioned_memory_mb == 512.0
+
+
+def test_lowering_the_count_mid_start_demotes_the_starting_sandbox():
+    sim, platform = make(keep_alive_s=30.0)
+    platform.set_provisioned_concurrency("f", 1)
+    done = platform.invoke("f")
+    platform.set_provisioned_concurrency("f", 0)  # before it starts
+    assert platform._provisioned_memory_mb == 0.0
+    sim.run()
+    assert done.value.succeeded
+    assert not live_provisioned(platform)
+    assert platform.provisioned_count("f") == 0
+    assert platform._provisioned_memory_mb == 0.0
+    # Demoted, it expires on its keep-alive like any warm sandbox.
+    assert sim.now == done.value.end_time + 30.0
+    assert assert_conserved(platform) == {"expired": 1}
+
+
+def test_crashing_a_retired_sandbox_raises():
+    sim, platform = make()
+    platform.set_provisioned_concurrency("f", 1)
+    sandbox = platform._idle["f"][0]
+    assert platform.fail_sandbox(sandbox) is False
+    with pytest.raises(SandboxError, match="retired twice"):
+        platform.fail_sandbox(sandbox)
+    assert platform._provisioned_memory_mb == 0.0
+    assert platform.metrics.counter("sandbox_crashes").value == 1
+    assert platform.provisioned_count("f") == 0
+    assert assert_conserved(platform) == {"crashed": 1}
+
+
+def test_an_idle_sandbox_has_one_keep_alive_check():
+    sim, platform = make(keep_alive_s=10.0)
+    checks = []
+    expire = platform._expire
+
+    def counted(*args):
+        checks.append(sim.now)
+        expire(*args)
+
+    platform._expire = counted
+    for index in range(50):
+        sim.schedule_at(index * 1.0, platform.invoke, "f")
+    sim.run()
+    # One sandbox serves every call.  Its check re-arms at the current
+    # deadline when it fires early, instead of one timer per return.
+    assert len(checks) <= 6
+    assert sim.now == checks[-1]
+    assert assert_conserved(platform) == {"expired": 1}
+    assert platform.sandboxes_created == 1
+
+
+def test_a_shorter_keep_alive_re_arms_the_check_earlier():
+    sim, platform = make(keep_alive_s=600.0)
+    platform.invoke_sync("f")
+    platform.set_keep_alive("f", 5.0)
+    second = platform.invoke_sync("f")  # reuses the sandbox
+    sim.run()
+    assert not second.cold_start
+    assert sim.now == second.end_time + 5.0
+    assert assert_conserved(platform) == {"expired": 1}
+
+
+@pytest.mark.parametrize("name, retired", [
+    ("faas_warm", {"expired": 420}),
+    ("cold_evict", {"evicted": 2865, "expired": 128}),
+    ("full_stack", {"expired": 407, "crashed": 29}),
+])
+def test_perfbench_workloads_conserve_sandboxes(name, retired):
+    replay = workloads.make_workload(name, 1, 0.25)
+    replay.setup()
+    replay.run()
+    faas = replay.app.faas
+    assert assert_conserved(faas) == retired
+    assert faas.sandboxes_created == sum(retired.values())
