@@ -288,7 +288,8 @@ class _Attempt:
         self.last_dispatch_cold = False
         #: Root span of the invocation's trace (None when tracing is off).
         self.span = None
-        #: Handle of the queued finish while executing (a crash cancels it).
+        #: Handle of the queued finish while executing (a crash cancels
+        #: it); ``None`` while the handler runs, before it is queued.
         self.finish: typing.Optional[int] = None
         #: The durable-execution journal entry shared by every attempt
         #: of this logical invocation (None when durability is off).
@@ -820,14 +821,16 @@ class FaasPlatform:
         """Stop the attempt executing in a crashed ``sandbox``, if any.
 
         Releases its dispatch slot and CPU share and cancels its queued
-        finish; returns the attempt (``None`` for an idle sandbox).
+        finish; returns the attempt (``None`` for an idle sandbox).  A
+        handler that crashes its own sandbox has no finish queued yet.
         """
         attempt = sandbox.attempt
         if attempt is None:
             return None
         sandbox.attempt = None
         del self._executing[attempt]
-        self.sim.cancel(attempt.finish)
+        if attempt.finish is not None:
+            self.sim.cancel(attempt.finish)
         self._exit_cpu(sandbox, attempt.spec)
         self._release_slot(attempt.spec.name)
         return attempt
@@ -1155,6 +1158,7 @@ class FaasPlatform:
         sandbox.executions += 1
         self._executing[attempt] = sandbox
         sandbox.attempt = attempt
+        attempt.finish = None
 
         # Race-sanitizer boundary checks (Simulation(sanitize=True)): the
         # payload is entering a sandbox, so any drift since it last crossed
@@ -1209,6 +1213,13 @@ class FaasPlatform:
                 record.payload, payload_digest, response,
                 self.sim.now, f"faas:{spec.name}",
             )
+        if sandbox.attempt is not attempt:
+            # The handler failed its own sandbox or machine: _interrupt
+            # already released this attempt and re-dispatched or
+            # concluded it, so nothing of this execution is finished.
+            if execute_span is not None:
+                execute_span.finish(self.sim.now, status="error")
+            return
         effective = ctx.accrued_s * slowdown
         if effective > spec.timeout_s:
             status = InvocationStatus.TIMEOUT

@@ -12,6 +12,13 @@ and acknowledged once ``ack_quorum`` of them persist it.  An entry
 remains readable while at least one bookie holding it is alive —
 experiment E10 crashes bookies mid-stream and checks completeness per
 replication factor.
+
+Replica placement belongs to the ledger, as in BookKeeper, where the
+write quorum is striped over the ensemble by entry id: entry ``e`` goes
+to the ``write_quorum`` bookies starting at ``ensemble[e % len(ensemble)]``.
+So a bookie stores nothing per entry.  The ledger keeps one shared
+write-set tuple per ensemble position, and records only the appends
+that found a chosen bookie down, which never stored them.
 """
 
 from __future__ import annotations
@@ -33,15 +40,14 @@ class EntryUnavailable(Exception):
 
 
 class LedgerEntry:
-    """One replicated record in a ledger."""
+    """One replicated record in a ledger (its replicas: :meth:`Ledger.replicas`)."""
 
-    __slots__ = ("entry_id", "payload", "size_mb", "bookies")
+    __slots__ = ("entry_id", "payload", "size_mb")
 
-    def __init__(self, entry_id: int, payload: object, size_mb: float, bookies: list):
+    def __init__(self, entry_id: int, payload: object, size_mb: float):
         self.entry_id = entry_id
         self.payload = payload
         self.size_mb = size_mb
-        self.bookies = bookies  # the write ensemble for this entry
 
 
 class Bookie:
@@ -75,15 +81,19 @@ class Bookie:
         self._appends = None
         self._admission_wait_s = None
         self._next_free = 0.0
-        self._entries: set = set()  # (ledger_id, entry_id)
+        #: Ledger id -> the ledger whose entries this bookie may store;
+        #: the ledger knows which of them landed here.
+        self._ledgers: dict = {}
 
-    def append_completion_time(self, ledger_id: int, entry_id: int) -> float:
-        """Persist an entry; returns the simulated completion timestamp."""
+    def append_completion_time(self) -> float:
+        """Persist one entry; returns the simulated completion timestamp.
+
+        A crashed bookie stores nothing and never completes (``inf``).
+        """
         if not self.alive:
-            return float("inf")
+            return math.inf
         start = max(self.sim.now, self._next_free)
         self._next_free = start + self.admission_interval_s
-        self._entries.add((ledger_id, entry_id))
         if self._appends is None:
             self._appends = self.metrics.counter("appends")
         self._appends.add()
@@ -98,7 +108,9 @@ class Bookie:
         return start + self.append_latency_s
 
     def holds(self, ledger_id: int, entry_id: int) -> bool:
-        return self.alive and (ledger_id, entry_id) in self._entries
+        """Whether this bookie is up and stores the entry."""
+        ledger = self._ledgers.get(ledger_id)
+        return self.alive and ledger is not None and self in ledger.replicas(entry_id)
 
     def crash(self) -> None:
         self.alive = False
@@ -132,7 +144,18 @@ class Ledger:
         self.ack_quorum = ack_quorum
         self.closed = False
         self.entries: list = []
-        self._rotation = 0
+        count = len(self.ensemble)
+        #: Entry ``e``'s write set is ``_write_sets[e % len(ensemble)]``.
+        self._write_sets = [
+            tuple(self.ensemble[(first + offset) % count]
+                  for offset in range(write_quorum))
+            for first in range(count)
+        ]
+        #: Entry id -> its replicas, for the entries whose append found a
+        #: chosen bookie down.
+        self._partial: dict = {}
+        for bookie in self.ensemble:
+            bookie._ledgers[self.ledger_id] = self
 
     def append(self, payload: object, size_mb: float = 0.0) -> typing.Tuple[int, float]:
         """Append an entry; returns ``(entry_id, ack_time)``.
@@ -144,19 +167,32 @@ class Ledger:
         if self.closed:
             raise LedgerClosed(f"ledger {self.ledger_id} is closed")
         entry_id = len(self.entries)
-        chosen = [
-            self.ensemble[(self._rotation + offset) % len(self.ensemble)]
-            for offset in range(self.write_quorum)
-        ]
-        self._rotation += 1
-        completions = [
-            bookie.append_completion_time(self.ledger_id, entry_id)
-            for bookie in chosen
-        ]
+        chosen = self._write_sets[entry_id % len(self._write_sets)]
+        completions = [bookie.append_completion_time() for bookie in chosen]
         completions.sort()
-        ack_time = completions[self.ack_quorum - 1]
-        self.entries.append(LedgerEntry(entry_id, payload, size_mb, chosen))
-        return entry_id, ack_time
+        if completions[-1] == math.inf:
+            # A down bookie never completes, but neither does a live one
+            # admitting an append made at t=inf: ask which are down.
+            stored = tuple(bookie for bookie in chosen if bookie.alive)
+            if len(stored) < len(chosen):
+                self._partial[entry_id] = stored
+        self.entries.append(LedgerEntry(entry_id, payload, size_mb))
+        return entry_id, completions[self.ack_quorum - 1]
+
+    def replicas(self, entry_id: int) -> tuple:
+        """The bookies entry ``entry_id`` was persisted on, up or down;
+        ``()`` for an entry this ledger does not have."""
+        if not 0 <= entry_id < len(self.entries):
+            return ()
+        stored = self._partial.get(entry_id)
+        if stored is None:
+            return self._write_sets[entry_id % len(self._write_sets)]
+        return stored
+
+    def drop_from_bookies(self) -> None:
+        """Free every bookie's copy of this ledger (a tiered offload)."""
+        for bookie in self.ensemble:
+            bookie._ledgers.pop(self.ledger_id, None)
 
     def close(self) -> None:
         self.closed = True
@@ -164,9 +200,7 @@ class Ledger:
     def read(self, entry_id: int) -> object:
         """Read one entry from any live replica."""
         entry = self.entries[entry_id]
-        if not any(
-            bookie.holds(self.ledger_id, entry_id) for bookie in entry.bookies
-        ):
+        if not self._readable(entry_id):
             raise EntryUnavailable(
                 f"ledger {self.ledger_id} entry {entry_id}: all replicas down"
             )
@@ -174,14 +208,12 @@ class Ledger:
 
     def readable_entries(self) -> list:
         """Ids of entries with at least one live replica, in order."""
-        return [
-            entry.entry_id
-            for entry in self.entries
-            if any(
-                bookie.holds(self.ledger_id, entry.entry_id)
-                for bookie in entry.bookies
-            )
-        ]
+        return [entry.entry_id for entry in self.entries
+                if self._readable(entry.entry_id)]
+
+    def _readable(self, entry_id: int) -> bool:
+        return any(bookie.holds(self.ledger_id, entry_id)
+                   for bookie in self.replicas(entry_id))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -212,11 +212,12 @@ class Broker:
     def _acked(self, topic: BrokerTopic, message: Message, done: Event,
                span=None) -> None:
         topic.backlog.append(message)
-        dropped = topic.prune_backlog(self.sim.now)
-        if dropped:
-            # By name: rare, and on a retention-0 topic this is created
-            # before messages_persisted.
-            self.metrics.counter("backlog_expired").add(dropped)
+        if topic.retention_s is not None:
+            dropped = topic.prune_backlog(self.sim.now)
+            if dropped:
+                # By name: rare, and on a retention-0 topic this is
+                # created before messages_persisted.
+                self.metrics.counter("backlog_expired").add(dropped)
         handles = self._topic_metrics.get(topic.name)
         if handles is None:
             if self._messages_persisted is None:

@@ -74,7 +74,7 @@ class PulsarCluster:
             raise ValueError("cluster needs at least one broker and one bookie")
         self.sim = sim
         self.calibration = calibration
-        self.metadata = MetadataStore(sim, calibration)
+        self.metadata = MetadataStore(sim)
         self.bookies = [
             Bookie(sim, append_latency_s=calibration.bookie_append_s)
             for _ in range(bookie_count)
@@ -128,11 +128,6 @@ class PulsarCluster:
     def broker_of(self, partition_name: str) -> Broker:
         return self._brokers_by_id[
             self.metadata.get(f"/assignments/{partition_name}")
-        ]
-
-    def topics(self) -> list:
-        return [
-            path.rsplit("/", 1)[1] for path in self.metadata.children("/topics")
         ]
 
     # ------------------------------------------------------------------

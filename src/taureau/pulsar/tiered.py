@@ -30,9 +30,9 @@ class TieredStorage:
     def offload(self, ledger: Ledger) -> float:
         """Offload a sealed ledger; returns the MB moved to the blob tier.
 
-        Every entry is copied to the object store and dropped from its
-        bookie replicas (freeing bookie memory); subsequent reads go
-        through :meth:`read` and pay blob latency.
+        Every entry is copied to the object store, then the ledger is
+        dropped from its bookies (freeing bookie memory); subsequent
+        reads go through :meth:`read` and pay blob latency.
         """
         if not ledger.closed:
             raise ValueError(
@@ -49,8 +49,7 @@ class TieredStorage:
                 size_mb=entry.size_mb,
             )
             moved_mb += entry.size_mb
-            for bookie in entry.bookies:
-                bookie._entries.discard((ledger.ledger_id, entry.entry_id))
+        ledger.drop_from_bookies()
         self._offloaded.add(ledger.ledger_id)
         self.metrics.counter("ledgers_offloaded").add()
         self.metrics.counter("mb_offloaded").add(moved_mb)

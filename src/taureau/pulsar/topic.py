@@ -29,18 +29,19 @@ class SubscriptionType(enum.Enum):
     KEY_SHARED = "key_shared"
 
 
-@dataclasses.dataclass(frozen=True)
-class MessageId:
+class MessageId(typing.NamedTuple):
+    """A message's position: ordered by ledger, then by entry."""
+
     ledger_id: int
     entry_id: int
-
-    def __lt__(self, other: "MessageId") -> bool:
-        return (self.ledger_id, self.entry_id) < (other.ledger_id, other.entry_id)
 
 
 @dataclasses.dataclass
 class Message:
     """A persisted message as consumers see it."""
+
+    __slots__ = ("message_id", "topic", "payload", "key", "size_mb",
+                 "publish_time", "trace")
 
     message_id: MessageId
     topic: str
@@ -51,7 +52,7 @@ class Message:
     #: Explicit trace propagation: the publish span's context rides on
     #: the message, so consumers parent their work onto the producer's
     #: trace.  ``None`` when the publish was untraced.
-    trace: typing.Optional[object] = None
+    trace: typing.Optional[object]
 
 
 class Consumer:
@@ -173,7 +174,7 @@ class Subscription:
     # -- internals -----------------------------------------------------------
 
     def _pick_consumer(self, message: Message) -> typing.Optional[Consumer]:
-        live = [consumer for consumer in self.consumers if consumer.connected]
+        live = self.consumers  # a closing consumer detaches itself
         if not live:
             return None
         if self.sub_type in (SubscriptionType.EXCLUSIVE, SubscriptionType.FAILOVER):

@@ -105,4 +105,4 @@ class TestDurability:
         sim = Simulation(seed=0)
         bookie = Bookie(sim)
         bookie.crash()
-        assert bookie.append_completion_time(0, 0) == float("inf")
+        assert bookie.append_completion_time() == float("inf")

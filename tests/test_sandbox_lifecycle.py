@@ -5,7 +5,9 @@ which counts the cause once; a second retire raises ``SandboxError``.
 An idle sandbox has at most one queued keep-alive check, and a retired
 sandbox's check is cancelled, so it never holds a drained run open.  A
 pool's provisioned count covers every live provisioned sandbox,
-starting ones included.
+starting ones included.  A handler that crashes its own sandbox or
+machine interrupts its attempt like any crash: the execution it was
+running is never finished or billed.
 """
 
 import pathlib
@@ -13,8 +15,16 @@ import sys
 
 import pytest
 
+from taureau.chaos import FaultInjected
 from taureau.cluster import Cluster
-from taureau.core import FaasPlatform, FunctionSpec, PlatformConfig, SandboxError
+from taureau.core import (
+    FaasPlatform,
+    FunctionSpec,
+    InvocationStatus,
+    PlatformConfig,
+    SandboxError,
+)
+from taureau.obs import Tracer
 from taureau.sim import Simulation
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -138,6 +148,77 @@ def test_a_shorter_keep_alive_re_arms_the_check_earlier():
     assert not second.cold_start
     assert sim.now == second.end_time + 5.0
     assert assert_conserved(platform) == {"expired": 1}
+
+
+def run_self_failing(fail, max_retries, tracing):
+    """One invocation whose first execution crashes its own sandbox (or
+    the sandbox's machine) from inside the handler."""
+    sim, platform = make(keep_alive_s=30.0)
+    if tracing:
+        sim.tracer = Tracer(sim)
+    executions = []
+
+    def handler(event, ctx):
+        executions.append(ctx.sandbox_id)
+        if len(executions) == 1:
+            own = next(sandbox for sandbox in platform._executing.values()
+                       if sandbox.sandbox_id == ctx.sandbox_id)
+            fail(platform, own)
+        ctx.charge(1.0)
+        return "done"
+
+    platform.register(FunctionSpec(name="self-failing", handler=handler,
+                                   memory_mb=256, max_retries=max_retries))
+    done = platform.invoke("self-failing")
+    sim.run()
+    record = done.value
+    executes = []
+    if tracing:
+        trace = sim.tracer.trace(record.trace_id)
+        assert all(span.finished for span in trace.spans)
+        executes = [span.status for span in trace.spans_named("faas.execute")]
+    return platform, record, executions, executes
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_a_handler_that_fails_its_own_machine_is_re_executed(tracing):
+    platform, record, executions, executes = run_self_failing(
+        lambda platform, own: platform.fail_machine(own.machine),
+        max_retries=0, tracing=tracing)
+    assert record.status is InvocationStatus.OK
+    assert record.response == "done"
+    assert record.attempts == 2
+    assert len(executions) == 2 and executions[0] != executions[1]
+    # Only the re-execution is billed.
+    assert record.billed_duration_s == pytest.approx(1.0)
+    assert assert_conserved(platform) == {"machine_failed": 1, "expired": 1}
+    if tracing:
+        assert executes == ["error", "ok"]
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_a_handler_that_crashes_its_own_sandbox_fails_unbilled(tracing):
+    platform, record, executions, executes = run_self_failing(
+        lambda platform, own: platform.fail_sandbox(own),
+        max_retries=0, tracing=tracing)
+    assert record.status is InvocationStatus.ERROR
+    assert isinstance(record.error, FaultInjected)
+    assert record.attempts == 1 and len(executions) == 1
+    assert record.billed_duration_s == 0.0
+    assert platform.metrics.counter("errors").value == 1
+    assert assert_conserved(platform) == {"crashed": 1}
+    if tracing:
+        assert executes == ["error"]
+
+
+def test_a_handler_that_crashes_its_own_sandbox_is_retried():
+    platform, record, executions, __ = run_self_failing(
+        lambda platform, own: platform.fail_sandbox(own),
+        max_retries=1, tracing=False)
+    assert record.status is InvocationStatus.OK
+    assert record.attempts == 2 and len(executions) == 2
+    assert record.billed_duration_s == pytest.approx(1.0)
+    assert assert_conserved(platform) == {"crashed": 1, "expired": 1}
 
 
 @pytest.mark.parametrize("name, retired", [
