@@ -11,7 +11,10 @@ and recorder on, and gating the wall-clock overhead below 5%.
 A sampled slice of the arrivals (1 in ``INVOKE_EVERY``) drives real
 FaaS invocations so the recorder has live queues, warm pools and cold
 fractions to sample; both runs share that workload, so the delta
-isolates the recorder daemon itself.  The trajectory lands in
+isolates the recorder daemon itself.  The bench times ``ROUNDS``
+interleaved off/on pairs and gates on the median of the per-round
+overheads: on a 2-core VM, best-of-3 minima of the smoke slice read
+anywhere from -29.85% to +11.62%.  The trajectory lands in
 ``benchmarks/BENCH_report_overhead.json``.
 
 Run directly (``python benchmarks/bench_report_overhead.py [--smoke]``)
@@ -21,6 +24,7 @@ or via pytest-benchmark like the other benches.
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -35,7 +39,7 @@ from bench_sim_kernel import MILLION_TENANT_SPEC
 
 MAX_OVERHEAD_PCT = 5.0  # acceptance: recorder wall overhead below this
 INVOKE_EVERY = 1_000  # 1 in N arrivals becomes a real FaaS invocation
-ROUNDS = 3  # best-of rounds per variant, interleaved against drift
+ROUNDS = 5  # interleaved off/on pairs behind the gate's median
 
 # The smoke trace needs enough replay wall time that the recorder's
 # fixed per-virtual-second tick cost is measured against a meaningful
@@ -86,30 +90,37 @@ def replay_once(trace, with_recorder, seed=39):
 def run_experiment(smoke=False):
     spec = REPLAY_SMOKE_SPEC if smoke else MILLION_TENANT_SPEC
     trace = generate_trace(spec, seed=39)
-    baseline_s = float("inf")
-    recorded_s = float("inf")
-    app = None
-    arrivals = 0
+    off_s, on_s = [], []
     # Interleave the variants so allocator/cache drift hits both evenly.
     for _round in range(ROUNDS):
         elapsed, _, arrivals = replay_once(trace, with_recorder=False)
-        baseline_s = min(baseline_s, elapsed)
+        off_s.append(elapsed)
         elapsed, app, arrivals = replay_once(trace, with_recorder=True)
-        recorded_s = min(recorded_s, elapsed)
-    overhead_pct = 100.0 * (recorded_s - baseline_s) / baseline_s
+        on_s.append(elapsed)
+    samples = [100.0 * (on - off) / off for off, on in zip(off_s, on_s)]
     counters = app.recorder.overhead()
     artifact_bytes = len(app.run_artifact().to_json())
-    return {
+    row = {
         "tenants": spec.tenants,
         "arrivals": arrivals,
-        "baseline_s": round(baseline_s, 3),
-        "recorded_s": round(recorded_s, 3),
-        "overhead_pct": round(overhead_pct, 2),
+        "baseline_s": round(statistics.median(off_s), 3),
+        "recorded_s": round(statistics.median(on_s), 3),
+        "overhead_pct": round(statistics.median(samples), 2),
         "ticks": counters["ticks"],
         "lanes": counters["lanes"],
         "points": counters["points"],
         "artifact_bytes": artifact_bytes,
     }
+    return row, samples
+
+
+def gate_overhead(row, samples):
+    """Print every round's overhead; return their median."""
+    shown = " ".join(f"{sample:+.2f}%" for sample in samples)
+    print(f"recorder overhead, {len(samples)} interleaved rounds: {shown}; "
+          f"median {row['overhead_pct']}% over {row['arrivals']} arrivals "
+          f"(< {MAX_OVERHEAD_PCT:.0f}% required)")
+    return row["overhead_pct"]
 
 
 def report(row):
@@ -117,9 +128,9 @@ def report(row):
         "E41: run-recorder wall overhead on the E39 workload replay",
         list(row.keys()),
         [tuple(row.values())],
-        note=f"acceptance: overhead_pct < {MAX_OVERHEAD_PCT:.0f} "
-        f"(1 in {INVOKE_EVERY} arrivals drives a real invocation; "
-        "recorder cadence 1 virtual second)",
+        note=f"acceptance: median overhead_pct < {MAX_OVERHEAD_PCT:.0f} "
+        f"over {ROUNDS} interleaved rounds (1 in {INVOKE_EVERY} arrivals "
+        "drives a real invocation; recorder cadence 1 virtual second)",
     )
 
 
@@ -148,16 +159,12 @@ def main(argv=None):
         help="trajectory output path (full runs only)",
     )
     options = parser.parse_args(argv)
-    row = run_experiment(smoke=options.smoke)
+    row, samples = run_experiment(smoke=options.smoke)
     report(row)
-    assert row["overhead_pct"] < MAX_OVERHEAD_PCT, (
-        f"recorder overhead {row['overhead_pct']}% exceeds "
+    overhead_pct = gate_overhead(row, samples)
+    assert overhead_pct < MAX_OVERHEAD_PCT, (
+        f"recorder overhead {overhead_pct}% (median) exceeds "
         f"{MAX_OVERHEAD_PCT}%"
-    )
-    print(
-        f"recorder overhead {row['overhead_pct']}% over "
-        f"{row['arrivals']} arrivals "
-        f"(< {MAX_OVERHEAD_PCT:.0f}% required)"
     )
     if not options.smoke:
         write_trajectory(row, options.json)
@@ -165,11 +172,11 @@ def main(argv=None):
 
 
 def test_e41_report_overhead(benchmark):
-    row = benchmark.pedantic(
+    row, samples = benchmark.pedantic(
         lambda: run_experiment(smoke=False), rounds=1, iterations=1
     )
     report(row)
-    assert row["overhead_pct"] < MAX_OVERHEAD_PCT
+    assert gate_overhead(row, samples) < MAX_OVERHEAD_PCT
     assert row["arrivals"] > 5_000_000
 
 

@@ -51,6 +51,15 @@ class KvStore:
         # plan / resilience policy is installed; both None by default).
         self.faults = None
         self.resilience = None
+        # Metric handles, each bound when a by-name lookup per call
+        # would first have created its metric (so snapshots keep their
+        # keys and order): ``ops_by`` children per op, then
+        # ``io_size_mb``, at the first charge; ``puts`` and ``gets`` at
+        # the first put and get.
+        self._ops_by: typing.Dict[str, object] = {}
+        self._io_size_mb = None
+        self._puts = None
+        self._gets = None
 
     def _guard(self, ctx, op: str) -> None:
         if self.faults is not None:
@@ -75,7 +84,9 @@ class KvStore:
         version = (current.version + 1) if current else 1
         self._items[key] = KvItem(value, version, size)
         self._charge(ctx, size, op="put", key=key)
-        self.metrics.counter("puts").add()
+        if self._puts is None:
+            self._puts = self.metrics.counter("puts")
+        self._puts.add()
         return version
 
     def put_if_version(
@@ -113,7 +124,7 @@ class KvStore:
         if item is None:
             raise KeyError(key)
         self._charge(ctx, item.size_mb, op="get", key=key)
-        self.metrics.counter("gets").add()
+        self._count_get()
         return item.value
 
     def get_item(self, key: str, ctx=None) -> KvItem:
@@ -123,7 +134,7 @@ class KvStore:
         if item is None:
             raise KeyError(key)
         self._charge(ctx, item.size_mb, op="get", key=key)
-        self.metrics.counter("gets").add()
+        self._count_get()
         return item
 
     def delete(self, key: str, ctx=None) -> None:
@@ -168,9 +179,20 @@ class KvStore:
     def __len__(self) -> int:
         return len(self._items)
 
+    def _count_get(self) -> None:
+        if self._gets is None:
+            self._gets = self.metrics.counter("gets")
+        self._gets.add()
+
     def _charge(self, ctx, size_mb: float, op: str = "io", key: str = "") -> None:
-        self.metrics.labeled_counter("ops_by", ("op",)).add(op=op)
-        self.metrics.histogram("io_size_mb").observe(size_mb)
+        ops = self._ops_by.get(op)
+        if ops is None:
+            ops = self._ops_by[op] = self.metrics.labeled_counter(
+                "ops_by", ("op",)).labels(op=op)
+            if self._io_size_mb is None:
+                self._io_size_mb = self.metrics.histogram("io_size_mb")
+        ops.add()
+        self._io_size_mb.observe(size_mb)
         if ctx is None:
             return
         latency = self.calibration.kv_transfer_latency(size_mb)

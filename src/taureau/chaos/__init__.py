@@ -22,7 +22,6 @@ from taureau.chaos.experiment import (
     ChaosExperiment,
     ExperimentReport,
     InvariantResult,
-    all_executions_terminated,
     all_invocations_terminated,
     exactly_once_effects,
     no_double_billing,
@@ -54,7 +53,6 @@ __all__ = [
     "ResiliencePolicy",
     "ResilientInvoker",
     "RetryPolicy",
-    "all_executions_terminated",
     "all_invocations_terminated",
     "exactly_once_effects",
     "no_double_billing",

@@ -28,7 +28,6 @@ __all__ = [
     "InvariantResult",
     "all_invocations_terminated",
     "no_inflight_messages",
-    "all_executions_terminated",
     "exactly_once_effects",
     "no_lost_acked_work",
     "no_double_billing",
@@ -66,20 +65,6 @@ def no_inflight_messages(app) -> typing.Tuple[bool, str]:
                 for consumer in subscription.consumers:
                     unacked += len(consumer._unacked)
     return unacked == 0, f"{unacked} unacked in-flight messages"
-
-
-def all_executions_terminated(app) -> typing.Tuple[bool, str]:
-    """Every orchestration execution finished (succeeded or failed)."""
-    registries = [
-        registry for registry in app.registries()
-        if getattr(registry, "namespace", None) == "orchestration"
-    ]
-    started = finished = 0.0
-    for registry in registries:
-        started += registry.counter("executions").value
-        family = registry.labeled_counter("executions_by", ("outcome",))
-        finished += sum(child.value for _key, child in family.items())
-    return finished == started, f"{finished:g}/{started:g} executions terminal"
 
 
 def exactly_once_effects(app) -> typing.Tuple[bool, str]:

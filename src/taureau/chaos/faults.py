@@ -265,6 +265,9 @@ class ChaosController:
         self.windows: typing.List[_Window] = []
         self._target_rng = self.sim.rng.stream("chaos.targets")
         self._gate_rng = self.sim.rng.stream("chaos.gate")
+        #: The ``retries_by`` family, bound by the first guard call that
+        #: finds a window, where a by-name lookup per call created it.
+        self._retries_by = None
         self._compile()
 
     # ------------------------------------------------------------------
@@ -485,9 +488,11 @@ class ChaosController:
         """
         if not self.windows:
             return
-        retries = self.metrics.labeled_counter(
-            "retries_by", ("component", "outcome")
-        )
+        retries = self._retries_by
+        if retries is None:
+            retries = self._retries_by = self.metrics.labeled_counter(
+                "retries_by", ("component", "outcome")
+            )
         attempts = 0
         while True:
             now = self.sim.now + (ctx.accrued_s if ctx is not None else 0.0)

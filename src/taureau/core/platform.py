@@ -191,7 +191,7 @@ class _IdlePools(dict):
 class _LazyHandles:
     """Attributes resolved by ``_BIND[name](self)`` on first read.
 
-    Each resolution creates its metric through the registry at the moment
+    A metric's resolution creates it through the registry at the moment
     the per-call lookup it replaces would have, so ``snapshot()`` keys,
     their order and their values are unchanged; later reads are plain
     attribute loads.
@@ -246,11 +246,13 @@ def _line_item(item: str):
 
 
 class _FunctionState(_LazyHandles):
-    """One function's last arrival time and its per-function metrics."""
+    """One function's last arrival time, its per-function metrics and the
+    name of its invocations' root span (built on a traced platform only)."""
 
     __slots__ = ("registry", "name", "last_arrival", "arrivals", "interarrival",
                  "cold", "warm", "ok", "e2e_latency", "billed_requests",
-                 "billed_seconds", "billed_gb_s", "billed_cost_usd")
+                 "billed_seconds", "billed_gb_s", "billed_cost_usd",
+                 "span_name")
 
     _BIND = {
         "arrivals": _child("labeled_counter", "arrivals_by", ("function",)),
@@ -266,6 +268,7 @@ class _FunctionState(_LazyHandles):
         "billed_seconds": _line_item("seconds"),
         "billed_gb_s": _line_item("gb_s"),
         "billed_cost_usd": _line_item("cost_usd"),
+        "span_name": lambda fn: f"faas.invoke.{fn.name}",
     }
 
     def __init__(self, registry: MetricRegistry, name: str):
@@ -493,7 +496,7 @@ class FaasPlatform:
         tracer = self.sim.tracer
         if tracer is not None:
             attempt.span = tracer.start_span(
-                f"faas.invoke.{name}",
+                fn.span_name,
                 parent=parent,
                 function=name,
                 tenant=spec.tenant,

@@ -78,6 +78,10 @@ class DurabilityManager:
             "messages_deduped", "checkpoint_hits", "checkpoint_writes",
         ):
             self.metrics.counter(name)
+        # Handles for the counters recorded per entry and per effect.
+        self._entries_opened = self.metrics.counter("entries_opened")
+        self._effects_journaled = self.metrics.counter("effects_journaled")
+        self._effects_replayed = self.metrics.counter("effects_replayed")
         # Re-entrancy latch: an effect executing under the journal may
         # itself call journaled client methods (counter_add -> put,
         # db.put -> commit); the outer apply is the atomic unit, inner
@@ -88,14 +92,14 @@ class DurabilityManager:
 
     def open_entry(self, function_name: str) -> JournalEntry:
         """A fresh journal entry for one logical platform invocation."""
-        self.metrics.counter("entries_opened").add()
+        self._entries_opened.add()
         return self.journal.open(function_name)
 
     def message_entry(self, function_name: str, key: str) -> JournalEntry:
         """The stable entry for one message delivery (redelivery-safe)."""
         entry = self.journal.entries.get(key)
         if entry is None:
-            self.metrics.counter("entries_opened").add()
+            self._entries_opened.add()
             entry = self.journal.open_keyed(key, function_name)
         return entry
 
@@ -129,7 +133,7 @@ class DurabilityManager:
         record = entry.peek()
         if record is not None:
             replayed = entry.replay(label)
-            self.metrics.counter("effects_replayed").add()
+            self._effects_replayed.add()
             self._charge(ctx, JOURNAL_READ_S, "durable.replay", label)
             return replayed.result
         self._applying = True
@@ -138,7 +142,7 @@ class DurabilityManager:
         finally:
             self._applying = False
         entry.append(label, result)
-        self.metrics.counter("effects_journaled").add()
+        self._effects_journaled.add()
         self._charge(ctx, JOURNAL_WRITE_S, "durable.journal", label)
         return result
 

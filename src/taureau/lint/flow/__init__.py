@@ -30,7 +30,6 @@ from taureau.lint.flow.index import (
     ModuleSummary,
     module_name_for,
     source_key,
-    summarize_path,
     summarize_source,
 )
 from taureau.lint.flow.rules import FlowRuleInfo, all_flow_rules, flow_rule_index
@@ -55,6 +54,5 @@ __all__ = [
     "module_name_for",
     "propagate",
     "source_key",
-    "summarize_path",
     "summarize_source",
 ]

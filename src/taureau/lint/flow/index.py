@@ -28,7 +28,6 @@ __all__ = [
     "FunctionInfo",
     "ModuleSummary",
     "module_name_for",
-    "summarize_path",
     "summarize_source",
     "source_key",
 ]
@@ -245,22 +244,6 @@ class ModuleSummary:
         if code in self.file_suppressions:
             return True
         return code in self.line_suppressions.get(line, ())
-
-
-def summarize_path(path: str, normalized: typing.Optional[str] = None) -> ModuleSummary:
-    """Summarize one file from disk (the parallel-parse worker entry)."""
-    normalized = normalized or path.replace("\\", "/")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as exc:
-        return ModuleSummary(
-            path=normalized,
-            module=module_name_for(normalized),
-            key="",
-            parse_error=f"{normalized}: {exc}",
-        )
-    return summarize_source(source, normalized)
 
 
 def summarize_source(source: str, path: str) -> ModuleSummary:

@@ -1,7 +1,7 @@
 """Serverless machine-learning workloads (paper §5.2)."""
 
 from taureau.ml.coded import StragglerModel, coded_matvec, uncoded_matvec
-from taureau.ml.datasets import classification_dataset, regression_dataset, shard
+from taureau.ml.datasets import classification_dataset, shard
 from taureau.ml.federated import FederatedAveraging, non_iid_shards
 from taureau.ml.hyperparam import HyperparameterSearch, grid
 from taureau.ml.inference import InferenceService, ModelCache
@@ -24,7 +24,6 @@ __all__ = [
     "coded_matvec",
     "uncoded_matvec",
     "classification_dataset",
-    "regression_dataset",
     "shard",
     "FederatedAveraging",
     "non_iid_shards",

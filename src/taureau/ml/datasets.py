@@ -1,8 +1,8 @@
 """Synthetic datasets for the serverless ML workloads (§5.2).
 
-All generators take an explicit numpy seed so training traces are
-reproducible; shapes mirror the binary-classification and regression
-problems the cited systems train.
+The generator takes an explicit numpy seed so training traces are
+reproducible; its shape mirrors the binary-classification problems the
+cited systems train.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import typing
 
 import numpy as np
 
-__all__ = ["classification_dataset", "regression_dataset", "shard"]
+__all__ = ["classification_dataset", "shard"]
 
 
 def classification_dataset(
@@ -31,20 +31,6 @@ def classification_dataset(
     logits = features @ true_weights + noise * rng.standard_normal(n_samples)
     labels = (logits > 0).astype(np.float64)
     return features, labels, true_weights
-
-
-def regression_dataset(
-    n_samples: int,
-    n_features: int,
-    seed: int = 0,
-    noise: float = 0.1,
-) -> typing.Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gaussian linear regression: ``y = X w + noise``."""
-    rng = np.random.default_rng(seed)
-    true_weights = rng.standard_normal(n_features)
-    features = rng.standard_normal((n_samples, n_features))
-    targets = features @ true_weights + noise * rng.standard_normal(n_samples)
-    return features, targets, true_weights
 
 
 def shard(

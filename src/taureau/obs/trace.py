@@ -58,15 +58,17 @@ class Span:
         start: float,
         seq: int,
         attributes: typing.Optional[dict] = None,
+        end: typing.Optional[float] = None,
+        status: str = "ok",
     ):
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.start = start
-        self.end: typing.Optional[float] = None
-        self.status = "ok"
-        self.attributes: dict = attributes or {}
+        self.end = end
+        self.status = status
+        self.attributes: dict = {} if attributes is None else attributes
         self._seq = seq  # creation order; deterministic tie-break
 
     @property
@@ -169,7 +171,11 @@ class TraceStore:
         self._spans: typing.Dict[str, list] = {}
 
     def add(self, span: Span) -> None:
-        self._spans.setdefault(span.trace_id, []).append(span)
+        spans = self._spans.get(span.trace_id)
+        if spans is None:
+            self._spans[span.trace_id] = [span]
+        else:
+            spans.append(span)
 
     def trace_ids(self) -> typing.List[str]:
         return list(self._spans)
@@ -214,22 +220,9 @@ class Tracer:
         **attributes,
     ) -> Span:
         """Open a span; with no ``parent`` a new trace is started."""
-        if parent is None:
-            trace_id = f"trace-{next(self._trace_ids)}"
-            parent_id = None
-        else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        seq = next(self._span_ids)
-        span = Span(
-            trace_id=trace_id,
-            span_id=f"s{seq}",
-            parent_id=parent_id,
-            name=name,
-            start=self.sim.now if start is None else start,
-            seq=seq,
-            attributes=attributes or None,
-        )
+        trace_id, parent_id, seq = self._mint(parent)
+        span = Span(trace_id, f"s{seq}", parent_id, name,
+                    self.sim.now if start is None else start, seq, attributes)
         self.store.add(span)
         return span
 
@@ -242,10 +235,24 @@ class Tracer:
         status: str = "ok",
         **attributes,
     ) -> Span:
-        """One-shot: open and finish a span whose bounds are already known."""
-        span = self.start_span(name, parent=parent, start=start, **attributes)
-        span.finish(end, status=status)
+        """File a finished span whose bounds are already known.
+
+        The bounds are checked first: a rejected call files nothing and
+        uses up no id.
+        """
+        if end < start:
+            raise ValueError(f"span {name!r}: end {end} precedes start {start}")
+        trace_id, parent_id, seq = self._mint(parent)
+        span = Span(trace_id, f"s{seq}", parent_id, name, start, seq,
+                    attributes, end, status)
+        self.store.add(span)
         return span
+
+    def _mint(self, parent) -> tuple:
+        """``(trace_id, parent_id, seq)`` of a new span under ``parent``."""
+        if parent is None:
+            return f"trace-{next(self._trace_ids)}", None, next(self._span_ids)
+        return parent.trace_id, parent.span_id, next(self._span_ids)
 
     # -- store passthroughs ------------------------------------------------
 

@@ -45,6 +45,8 @@ __all__ = [
 class Counter:
     """A monotonically increasing counter."""
 
+    __slots__ = ("name", "value")
+
     def __init__(self, name: str = ""):
         self.name = name
         self.value: float = 0.0
@@ -60,6 +62,8 @@ class Counter:
 
 class Gauge:
     """A last-value metric that can move in both directions."""
+
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str = ""):
         self.name = name

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from taureau.sim import Counter, Distribution, MetricRegistry, TimeSeries
+from taureau.sim import Counter, Distribution, Gauge, MetricRegistry, TimeSeries
 from taureau.sim.metrics import Histogram, LabeledCounter
 
 
@@ -18,6 +18,13 @@ class TestCounter:
     def test_rejects_negative_increment(self):
         with pytest.raises(ValueError):
             Counter("x").add(-1)
+
+    def test_counters_and_gauges_carry_no_instance_dict(self):
+        # A long-tail registry holds several per function.
+        for metric in (Counter("c"), Gauge("g")):
+            assert not hasattr(metric, "__dict__")
+            with pytest.raises(AttributeError):
+                metric.unit = "s"
 
 
 class TestDistribution:
