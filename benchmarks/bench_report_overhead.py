@@ -12,10 +12,11 @@ A sampled slice of the arrivals (1 in ``INVOKE_EVERY``) drives real
 FaaS invocations so the recorder has live queues, warm pools and cold
 fractions to sample; both runs share that workload, so the delta
 isolates the recorder daemon itself.  The bench times ``ROUNDS``
-interleaved off/on pairs and gates on the median of the per-round
-overheads: on a 2-core VM, best-of-3 minima of the smoke slice read
-anywhere from -29.85% to +11.62%.  The trajectory lands in
-``benchmarks/BENCH_report_overhead.json``.
+interleaved off/on pairs (``SMOKE_ROUNDS`` for the smoke slice) and
+gates on the median of the per-round overheads: on a 2-core VM, single
+rounds of the smoke slice read anywhere from -19.99% to +59.29%, so a
+median of 5 could rest on two or three quiet rounds.  The trajectory
+lands in ``benchmarks/BENCH_report_overhead.json``.
 
 Run directly (``python benchmarks/bench_report_overhead.py [--smoke]``)
 or via pytest-benchmark like the other benches.
@@ -40,6 +41,7 @@ from bench_sim_kernel import MILLION_TENANT_SPEC
 MAX_OVERHEAD_PCT = 5.0  # acceptance: recorder wall overhead below this
 INVOKE_EVERY = 1_000  # 1 in N arrivals becomes a real FaaS invocation
 ROUNDS = 5  # interleaved off/on pairs behind the gate's median
+SMOKE_ROUNDS = 11  # the smoke slice's rounds are short and noisy
 
 # The smoke trace needs enough replay wall time that the recorder's
 # fixed per-virtual-second tick cost is measured against a meaningful
@@ -92,7 +94,7 @@ def run_experiment(smoke=False):
     trace = generate_trace(spec, seed=39)
     off_s, on_s = [], []
     # Interleave the variants so allocator/cache drift hits both evenly.
-    for _round in range(ROUNDS):
+    for _round in range(SMOKE_ROUNDS if smoke else ROUNDS):
         elapsed, _, arrivals = replay_once(trace, with_recorder=False)
         off_s.append(elapsed)
         elapsed, app, arrivals = replay_once(trace, with_recorder=True)
@@ -123,13 +125,13 @@ def gate_overhead(row, samples):
     return row["overhead_pct"]
 
 
-def report(row):
+def report(row, rounds):
     print_table(
         "E41: run-recorder wall overhead on the E39 workload replay",
         list(row.keys()),
         [tuple(row.values())],
         note=f"acceptance: median overhead_pct < {MAX_OVERHEAD_PCT:.0f} "
-        f"over {ROUNDS} interleaved rounds (1 in {INVOKE_EVERY} arrivals "
+        f"over {rounds} interleaved rounds (1 in {INVOKE_EVERY} arrivals "
         "drives a real invocation; recorder cadence 1 virtual second)",
     )
 
@@ -160,7 +162,7 @@ def main(argv=None):
     )
     options = parser.parse_args(argv)
     row, samples = run_experiment(smoke=options.smoke)
-    report(row)
+    report(row, len(samples))
     overhead_pct = gate_overhead(row, samples)
     assert overhead_pct < MAX_OVERHEAD_PCT, (
         f"recorder overhead {overhead_pct}% (median) exceeds "
@@ -175,7 +177,7 @@ def test_e41_report_overhead(benchmark):
     row, samples = benchmark.pedantic(
         lambda: run_experiment(smoke=False), rounds=1, iterations=1
     )
-    report(row)
+    report(row, len(samples))
     assert gate_overhead(row, samples) < MAX_OVERHEAD_PCT
     assert row["arrivals"] > 5_000_000
 

@@ -30,7 +30,7 @@ class _Call:
 
     __slots__ = (
         "name", "payload", "parent", "done", "arrival_time", "resolved",
-        "retries_used", "hedged", "live_tokens", "last_record",
+        "retries_used", "hedged", "live_tokens", "timers", "last_record",
         "journal_entry",
     )
 
@@ -47,6 +47,11 @@ class _Call:
         #: Tokens of attempts whose results are still wanted; a timed-out
         #: attempt's token is removed, so its late completion is ignored.
         self.live_tokens: set = set()
+        #: Kernel handles of this call's queued entries, by key: an
+        #: attempt's token for its timeout, ``"hedge"``, or a fresh key
+        #: per relaunch.  Each entry removes its own key when it runs,
+        #: and resolving the call cancels whatever is left.
+        self.timers: dict = {}
         self.last_record: typing.Optional[InvocationRecord] = None
         #: Durable-execution journal entry shared by every attempt of
         #: this logical call (None when durability is off) — what makes
@@ -109,20 +114,23 @@ class ResilientInvoker:
             lambda ev, token=token: self._attempt_done(call, token, ev.value)
         )
         if self.policy.attempt_timeout_s is not None:
-            self.sim.schedule_after(
+            call.timers[token] = self.sim.schedule_after(
                 self.policy.attempt_timeout_s, self._attempt_timed_out,
                 call, token,
             )
         if self.policy.hedge_after_s is not None and not call.hedged:
             call.hedged = True  # at most one hedge per logical call
-            self.sim.schedule_after(
-                self.policy.hedge_after_s, self._maybe_hedge, call
+            call.timers["hedge"] = self.sim.schedule_after(
+                self.policy.hedge_after_s, self._hedge, call
             )
 
     def _attempt_done(self, call: _Call, token, record) -> None:
         if call.resolved or token not in call.live_tokens:
             return  # already resolved, or this attempt was timed out
         call.live_tokens.discard(token)
+        timeout = call.timers.pop(token, None)
+        if timeout is not None:
+            self.sim.cancel(timeout)
         call.last_record = record
         if record.status is InvocationStatus.OK:
             self._resolve(call, record, success=True)
@@ -130,15 +138,13 @@ class ResilientInvoker:
             self._attempt_failed(call, "failed")
 
     def _attempt_timed_out(self, call: _Call, token) -> None:
-        if call.resolved or token not in call.live_tokens:
-            return
-        call.live_tokens.discard(token)
+        del call.timers[token]
+        call.live_tokens.remove(token)
         self._retry_metric("attempt_timeout")
         self._attempt_failed(call, "attempt_timeout")
 
-    def _maybe_hedge(self, call: _Call) -> None:
-        if call.resolved:
-            return
+    def _hedge(self, call: _Call) -> None:
+        del call.timers["hedge"]
         self.metrics.counter("hedged_requests").add()
         self._launch(call)
 
@@ -167,20 +173,25 @@ class ResilientInvoker:
                         int(round(billed / granularity))
                     )
             delay = retry.backoff_s(call.retries_used - 1, self._rng)
-            self.sim.schedule_after(delay, self._relaunch, call)
+            key = object()
+            call.timers[key] = self.sim.schedule_after(
+                delay, self._relaunch, call, key
+            )
             return
         # Out of retries: resolve as failed once no attempt is in flight
         # (a pending hedge may still win).
         if not call.live_tokens:
             self._resolve(call, call.last_record, success=False)
 
-    def _relaunch(self, call: _Call) -> None:
-        if call.resolved:
-            return
+    def _relaunch(self, call: _Call, key) -> None:
+        del call.timers[key]
         self._launch(call)
 
     def _resolve(self, call: _Call, record, success: bool) -> None:
         call.resolved = True
+        for handle in call.timers.values():
+            self.sim.cancel(handle)
+        call.timers.clear()
         breaker = self._breakers.get(call.name)
         if breaker is not None:
             if success:

@@ -15,6 +15,7 @@ a fresh one (single-writer semantics).
 
 from __future__ import annotations
 
+import heapq
 import math
 import typing
 
@@ -47,14 +48,34 @@ class BrokerTopic:
         self.name = name
         self.ledgers: list = [ledger]
         self.backlog: list = []  # persisted Messages, in ack order
+        #: With ``retention_s`` set, a min-heap of the backlog's publish
+        #: times, so its head is the oldest.  The backlog is in ack
+        #: order, which a failover makes differ from publish order, so
+        #: the backlog's own head need not be the oldest.
+        self._publish_times: list = []
         self.subscriptions: typing.Dict[str, Subscription] = {}
         self.retention_s = retention_s
 
+    def retain(self, message: Message) -> None:
+        """Append an acked message to the backlog."""
+        self.backlog.append(message)
+        if self.retention_s is not None:
+            heapq.heappush(self._publish_times, message.publish_time)
+
     def prune_backlog(self, now: float) -> int:
-        """Drop persisted messages older than the retention window."""
+        """Drop persisted messages older than the retention window.
+
+        The backlog is rebuilt only when some message is older; a prune
+        that drops nothing leaves the list as it is.
+        """
         if self.retention_s is None:
             return 0
         cutoff = now - self.retention_s
+        times = self._publish_times
+        if not times or times[0] >= cutoff:
+            return 0
+        while times and times[0] < cutoff:
+            heapq.heappop(times)
         kept = [m for m in self.backlog if m.publish_time >= cutoff]
         dropped = len(self.backlog) - len(kept)
         self.backlog = kept
@@ -211,7 +232,7 @@ class Broker:
 
     def _acked(self, topic: BrokerTopic, message: Message, done: Event,
                span=None) -> None:
-        topic.backlog.append(message)
+        topic.retain(message)
         if topic.retention_s is not None:
             dropped = topic.prune_backlog(self.sim.now)
             if dropped:

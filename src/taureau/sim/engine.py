@@ -21,7 +21,10 @@ register with :meth:`Simulation.every`: the kernel ticks them while
 foreground work remains, lets them sleep when none does and wakes them
 when work is next scheduled, so no loop keeps a drained run alive.  An
 entry no longer wanted is dropped with :meth:`Simulation.cancel`, so no
-callback re-checks its own staleness.
+callback re-checks its own staleness; once cancelled entries outnumber
+live ones by more than a fixed slack, the queue is rebuilt without
+them, so a cancelled entry's callback and arguments are freed long
+before its due time.
 
 Both preserve the determinism contract exactly: every scheduled entry has
 a unique ``(when, seq)`` key, sequence numbers are handed out in call
@@ -41,6 +44,10 @@ from taureau.sim.rng import RngRegistry
 
 __all__ = ["Simulation"]
 
+#: Cancelled entries the queue may hold beyond its live ones before it
+#: is compacted (the eviction index's rule, ``core.platform``).
+_CANCELLED_SLACK = 64
+
 
 class _SortedRun:
     """A bulk-scheduled arrival vector: sorted times + one shared callback.
@@ -53,7 +60,8 @@ class _SortedRun:
 
     __slots__ = ("times", "args", "callback", "pos", "seq0")
 
-    def __init__(self, times: list, args: typing.Optional[list], callback, seq0: int):
+    def __init__(self, times: list, args: typing.Optional[typing.Sequence],
+                 callback, seq0: int):
         self.times = times
         self.args = args
         self.callback = callback
@@ -119,7 +127,8 @@ class Simulation:
         #: entry wakes them.
         self._dormant: list = []
         #: Handles of queued entries :meth:`cancel` dropped; each leaves
-        #: the set when its entry reaches the head of the queue.
+        #: the set when its entry reaches the head of the queue or a
+        #: compaction removes it (see :meth:`_compact`).
         self._cancelled: set = set()
         self._running = False
         self._ids: dict = {}
@@ -167,23 +176,54 @@ class Simulation:
 
         It never runs, never advances :attr:`now` and stops counting as
         work at once, for every reader of the queue (so :meth:`every`
-        loops go dormant on it).  Cancelling it twice is harmless;
-        ``None`` raises at once, an entry that already ran at the drain.
+        loops go dormant on it).  A handle stays cancellable while its
+        entry is queued, so cancelling it twice is harmless until the
+        entry leaves the queue by running, by being skipped at its turn
+        or by a compaction.  ``None`` raises at once; a handle whose
+        entry had already left raises at the next compaction or drain.
         """
         if handle is None or not 0 < handle <= self._seq:
             raise SimulationError(f"cancel({handle!r}): no such entry")
-        self._cancelled.add(handle)
+        cancelled = self._cancelled
+        cancelled.add(handle)
+        if 2 * len(cancelled) > len(self._heap) + _CANCELLED_SLACK:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the queue without its cancelled entries.
+
+        Runs once cancelled entries outnumber live ones by more than
+        ``_CANCELLED_SLACK``, checked at every cancel and every popped
+        live entry, so the queue never holds more than 2 x live + slack
+        entries.  A compaction drops more entries than it keeps, so its
+        cost is amortized O(1) per cancel.  Pop order is the
+        ``(when, seq)`` total order, so rebuilding changes none.
+        ``_heap`` and ``_cancelled`` change in place: the run loops hold
+        references to both.
+        """
+        heap, cancelled = self._heap, self._cancelled
+        kept = [entry for entry in heap if entry[1] not in cancelled]
+        stale = None
+        if len(heap) - len(kept) < len(cancelled):
+            stale = sorted(cancelled.difference([entry[1] for entry in heap]))
+        heap[:] = kept
+        heapq.heapify(heap)
+        cancelled.clear()
+        if stale:
+            raise SimulationError(
+                f"cancel() of entries that already ran or were dropped: {stale}")
 
     def _drop_cancelled(self) -> None:
         """Pop cancelled entries off the queue head; a handle still left
-        when the queue is empty named an entry that had already run."""
+        when the queue is empty named an entry that had already left it."""
         heap, cancelled = self._heap, self._cancelled
         while heap and heap[0][1] in cancelled:
             cancelled.remove(heapq.heappop(heap)[1])
         if cancelled and not heap:
             stale = sorted(cancelled)
             cancelled.clear()
-            raise SimulationError(f"cancel() of entries that already ran: {stale}")
+            raise SimulationError(
+                f"cancel() of entries that already ran or were dropped: {stale}")
 
     def every(self, interval_s: float, tick) -> _Loop:
         """Call ``tick()`` every ``interval_s`` seconds while work remains.
@@ -227,7 +267,8 @@ class Simulation:
         per element: the whole vector becomes a single struct-of-arrays
         run drained with a cursor, and only one sentinel touches the
         event queue.  Entry ``i`` runs ``callback(args[i])`` (or plain
-        ``callback()`` when ``args`` is omitted).
+        ``callback()`` when ``args`` is omitted).  A ``range`` of args is
+        kept as given; any other sequence is copied into a list.
 
         ``whens`` may be any sequence, including a numpy array; it does
         not need to be sorted — unsorted input is stable-sorted by time,
@@ -269,12 +310,9 @@ class Simulation:
             self._wake()
         seq0 = self._seq + 1
         self._seq += n
-        run = _SortedRun(
-            arr.tolist(),
-            list(args) if args is not None else None,
-            callback,
-            seq0,
-        )
+        if args is not None and not isinstance(args, range):
+            args = list(args)
+        run = _SortedRun(arr.tolist(), args, callback, seq0)
         self._post_run(run)
         return n
 
@@ -403,20 +441,26 @@ class Simulation:
 
     def step(self) -> None:
         """Pop and execute the single next scheduled item."""
-        if self._cancelled:
+        heap, cancelled = self._heap, self._cancelled
+        if cancelled:
             self._drop_cancelled()
-        if not self._heap:
+        if not heap:
             raise SimulationError("step() with no scheduled work")
-        when, _tie, callback, args = heapq.heappop(self._heap)
+        when, _tie, callback, args = heapq.heappop(heap)
         self.now = when
-        if self.sanitizer is not None and self._heap and self._heap[0][0] == when:
-            # A cancelled entry is never a partner; the kernel orders loops.
-            __, seq, other, other_args = self._heap[0]
-            if seq not in self._cancelled and not (
-                    isinstance(callback, _Loop) and isinstance(other, _Loop)):
-                self.sanitizer.note_collision(
-                    when, self._describe_entry(callback, args),
-                    self._describe_entry(other, other_args))
+        if cancelled and 2 * len(cancelled) > len(heap) + _CANCELLED_SLACK:
+            self._compact()
+        if self.sanitizer is not None:
+            # A cancelled entry is never a tie-break partner, whether or
+            # not a compaction dropped it yet; the kernel orders loops.
+            while heap and heap[0][1] in cancelled:
+                cancelled.remove(heapq.heappop(heap)[1])
+            if heap and heap[0][0] == when:
+                __, __, other, other_args = heap[0]
+                if not (isinstance(callback, _Loop) and isinstance(other, _Loop)):
+                    self.sanitizer.note_collision(
+                        when, self._describe_entry(callback, args),
+                        self._describe_entry(other, other_args))
         if callback is self._drain_run:
             # Honor the single-entry contract for bulk runs.
             self._drain_run(args[0], limit=1)
@@ -495,9 +539,12 @@ class Simulation:
         pop = heapq.heappop
         while heap and heap[0][0] <= deadline:
             when, seq, callback, args = pop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.remove(seq)
-                continue
+            if cancelled:
+                if seq in cancelled:
+                    cancelled.remove(seq)
+                    continue
+                if 2 * len(cancelled) > len(heap) + _CANCELLED_SLACK:
+                    self._compact()
             self.now = when
             if callback is drain_run:
                 drain_run(args[0])

@@ -16,6 +16,7 @@ from taureau.chaos import (
     RetryPolicy,
     all_invocations_terminated,
 )
+from taureau.core import PlatformConfig
 from taureau.core.function import InvocationStatus
 from taureau.jiffy import BlockPool, CapacityError, JiffyController, PoolExhausted
 from taureau.baas import BlobStore
@@ -207,6 +208,50 @@ class TestResilientInvoker:
         record = app.invoke_sync("steady", None)
         assert record.status is InvocationStatus.OK
         assert app.metrics.counter("hedged_requests").value == 1
+
+    @pytest.mark.parametrize("policy", [
+        {"attempt_timeout_s": 30.0},
+        {"hedge_after_s": 20.0},
+        {"attempt_timeout_s": 30.0, "hedge_after_s": 0.05},
+    ])
+    def test_a_resolved_call_leaves_no_timer_queued(self, policy):
+        def drain(**policy):
+            app = taureau.Platform(seed=0, config=PlatformConfig(keep_alive_s=1.0))
+
+            @app.function("f")
+            def f(event, ctx):
+                ctx.charge(0.1)
+
+            if policy:
+                app.with_resilience(ResiliencePolicy(retry=None, **policy))
+            monitor = app.with_monitoring().monitor
+            done = app.invoke("f")
+            app.run()
+            assert done.value.status is InvocationStatus.OK
+            return app.sim.now, monitor.ticks
+
+        assert drain(**policy) == drain() == (2.0, 2)
+
+    def test_a_hedge_win_cancels_the_queued_relaunch(self):
+        app = taureau.Platform(seed=0, config=PlatformConfig(keep_alive_s=1.0))
+        attempts = []
+
+        @app.function("f")
+        def f(event, ctx):
+            attempts.append(app.sim.now)
+            if len(attempts) == 1:
+                raise RuntimeError("first attempt fails")
+            ctx.charge(0.1)
+
+        app.with_resilience(ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=1, base_delay_s=10.0, jitter=0.0),
+            hedge_after_s=0.5,
+        ))
+        done = app.invoke("f")
+        app.run()
+        assert done.value.status is InvocationStatus.OK
+        assert len(attempts) == 2  # the relaunch due at t~10 never ran
+        assert app.sim.now < 10.0
 
     def test_retry_budget_bounds_total_retries(self):
         app, __, attempts = flaky_platform(

@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) for Pulsar delivery guarantees."""
 
 import collections
+import types
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taureau.pulsar import PulsarCluster, SubscriptionType
+from taureau.pulsar.broker import BrokerTopic
 from taureau.sim import Simulation
 
 # Publish plans: payload values with optional keys.
@@ -118,3 +120,47 @@ class TestDeliveryGuarantees:
                 partition_of.setdefault(message.key, message.topic)
                 == message.topic
             )
+
+
+class TestBacklogPrune:
+    """``BrokerTopic.prune_backlog`` against the full rebuild it skips.
+
+    The backlog is in ack order, which a failover makes differ from
+    publish order, so the acks below carry publish times in any order.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(st.booleans(), st.integers(0, 80)), max_size=60),
+        retention_s=st.one_of(st.none(), st.integers(0, 20)),
+    )
+    def test_prune_matches_the_full_rebuild(self, steps, retention_s):
+        topic = BrokerTopic("t", ledger=None, retention_s=retention_s)
+        oracle = []
+        for is_ack, half_seconds in steps:
+            instant = half_seconds / 2
+            if is_ack:
+                message = types.SimpleNamespace(publish_time=instant)
+                topic.retain(message)
+                oracle.append(message)
+                continue
+            before = topic.backlog
+            dropped = topic.prune_backlog(instant)
+            if retention_s is not None:
+                cutoff = instant - retention_s
+                kept = [m for m in oracle if m.publish_time >= cutoff]
+                assert dropped == len(oracle) - len(kept)
+                oracle = kept
+            assert [id(m) for m in topic.backlog] == [id(m) for m in oracle]
+            if not dropped:
+                assert topic.backlog is before
+
+    def test_a_message_published_at_the_cutoff_stays(self):
+        topic = BrokerTopic("t", ledger=None, retention_s=10.0)
+        for publish_time in (7.0, 5.0, 6.0):
+            topic.retain(types.SimpleNamespace(publish_time=publish_time))
+        backlog = topic.backlog
+        assert topic.prune_backlog(15.0) == 0
+        assert topic.backlog is backlog
+        assert topic.prune_backlog(16.5) == 2
+        assert [m.publish_time for m in topic.backlog] == [7.0]

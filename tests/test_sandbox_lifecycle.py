@@ -3,7 +3,8 @@
 Every sandbox leaves through ``FaasPlatform._retire(sandbox, cause)``,
 which counts the cause once; a second retire raises ``SandboxError``.
 An idle sandbox has at most one queued keep-alive check, and a retired
-sandbox's check is cancelled, so it never holds a drained run open.  A
+sandbox's check is cancelled, so it never holds a drained run open, and
+the kernel's queue compaction frees it long before its deadline.  A
 pool's provisioned count covers every live provisioned sandbox,
 starting ones included.  A handler that crashes its own sandbox or
 machine interrupts its attempt like any crash: the execution it was
@@ -25,7 +26,7 @@ from taureau.core import (
     SandboxError,
 )
 from taureau.obs import Tracer
-from taureau.sim import Simulation
+from taureau.sim import Simulation, engine
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -229,7 +230,23 @@ def test_a_handler_that_crashes_its_own_sandbox_is_retried():
 def test_perfbench_workloads_conserve_sandboxes(name, retired):
     replay = workloads.make_workload(name, 1, 0.25)
     replay.setup()
+    sim = replay.app.sim
+    fire = replay.fire
+    queue = []  # (queued, cancelled) entries every 100 arrivals
+
+    def sampled_fire(index):
+        if index % 100 == 0:
+            queue.append((len(sim._heap), len(sim._cancelled)))
+        fire(index)
+
+    replay.fire = sampled_fire
     replay.run()
     faas = replay.app.faas
     assert assert_conserved(faas) == retired
     assert faas.sandboxes_created == sum(retired.values())
+    # An evicted sandbox's cancelled check leaves the queue long before
+    # its keep-alive deadline: the queue stays within 2 x live + slack.
+    assert len(queue) == -(-len(replay.trace) // 100)
+    for queued, cancelled in queue:
+        assert queued <= 2 * (queued - cancelled) + engine._CANCELLED_SLACK
+    assert not sim._cancelled

@@ -43,6 +43,14 @@ class TestScheduleMany:
         sim.run()
         assert seen == ["r0", "pre-tie", "r1", "post-tie", "mid", "r2"]
 
+    def test_a_range_of_args_is_kept_as_given(self):
+        sim, seen = Simulation(), []
+        args = range(10, 14)
+        sim.schedule_many([1.0, 2.0, 3.0, 4.0], seen.append, args=args)
+        assert sim._heap[0][3][0].args is args  # no int built per arrival
+        sim.run()
+        assert seen == [10, 11, 12, 13]
+
     def test_callbacks_see_the_virtual_clock(self):
         sim, stamps = Simulation(), []
         sim.schedule_many([0.25, 0.5, 0.75], lambda: stamps.append(sim.now))
