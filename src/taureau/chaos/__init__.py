@@ -27,6 +27,7 @@ from taureau.chaos.experiment import (
     no_double_billing,
     no_inflight_messages,
     no_lost_acked_work,
+    sandboxes_conserved,
 )
 from taureau.chaos.faults import (
     ChaosController,
@@ -58,4 +59,5 @@ __all__ = [
     "no_double_billing",
     "no_inflight_messages",
     "no_lost_acked_work",
+    "sandboxes_conserved",
 ]

@@ -31,6 +31,7 @@ __all__ = [
     "exactly_once_effects",
     "no_lost_acked_work",
     "no_double_billing",
+    "sandboxes_conserved",
 ]
 
 
@@ -128,6 +129,33 @@ def no_double_billing(app) -> typing.Tuple[bool, str]:
     metric = app.faas.metrics.find("billing.double_billed_slices")
     slices = metric.value if metric is not None else 0.0
     return slices == 0, f"{slices:g} double-billed slices"
+
+
+def sandboxes_conserved(app) -> typing.Tuple[bool, str]:
+    """Every sandbox created is idle, executing or retired once, by cause.
+
+    Holds on a drained platform, where no sandbox is still starting:
+    ``sandboxes_created == idle + executing + Σ sandboxes_retired``, and
+    ``sandbox_evictions`` counts exactly the ``evicted`` and ``expired``
+    retirements.  The counter is read with ``find``, so checking creates
+    no metric.
+    """
+    faas = app.faas
+    idle = sum(len(bucket) for bucket in faas._idle.values())
+    executing = len(faas._executing)
+    retired = faas.sandboxes_retired
+    retired_total = sum(retired.values())
+    created = faas.sandboxes_created
+    metric = faas.metrics.find("sandbox_evictions")
+    evictions = metric.value if metric is not None else 0.0
+    evicted = retired["evicted"] + retired["expired"]
+    detail = (
+        f"{created} created, {idle} idle, {executing} executing, "
+        f"{retired_total} retired; {evictions:g} evictions counted for "
+        f"{evicted} evicted or expired"
+    )
+    ok = created == idle + executing + retired_total and evictions == evicted
+    return ok, detail
 
 
 # ----------------------------------------------------------------------

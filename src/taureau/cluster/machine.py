@@ -33,34 +33,64 @@ class Allocation:
 
 
 class Machine:
-    """A physical host with a fixed resource capacity."""
+    """A physical host with a fixed resource capacity.
+
+    The used CPU and memory are two running float totals, so a fit
+    question and an allocation build no :class:`ResourceVector`.  Each
+    total takes the float steps vector arithmetic took, and the fit test
+    is ``demand <= (capacity - used) + 1e-9`` per dimension.  Float drift
+    can carry a total a hair past zero or past capacity (625.8, 65.6 and
+    13.3 MB released in turn leave -1.8e-14 MB; three 0.1 MB claims fill
+    0.3 MB to 0.30000000000000004), so a release clamps each total at
+    zero and the fit test reads the raw differences; neither raises.
+    """
 
     def __init__(self, capacity: ResourceVector, machine_id: str):
         self.capacity = capacity
         self.machine_id = machine_id
-        self.used = ResourceVector()
+        self._used_cpu = 0.0
+        self._used_mb = 0.0
         self.allocations: set = set()
+
+    @property
+    def used(self) -> ResourceVector:
+        return ResourceVector(self._used_cpu, self._used_mb)
 
     @property
     def free(self) -> ResourceVector:
         return self.capacity - self.used
 
+    def fits(self, cpu_cores: float, memory_mb: float) -> bool:
+        """Whether ``cpu_cores`` and ``memory_mb`` fit in what is free,
+        to within 1e-9 in each dimension."""
+        capacity = self.capacity
+        return (
+            cpu_cores <= (capacity.cpu_cores - self._used_cpu) + 1e-9
+            and memory_mb <= (capacity.memory_mb - self._used_mb) + 1e-9
+        )
+
     def can_fit(self, demand: ResourceVector) -> bool:
-        return demand.fits_within(self.free)
+        return self.fits(demand.cpu_cores, demand.memory_mb)
 
     def allocate(self, demand: ResourceVector, label: str = "") -> Allocation:
-        if not self.can_fit(demand):
+        if not self.fits(demand.cpu_cores, demand.memory_mb):
+            capacity = self.capacity
             raise InsufficientResources(
-                f"{self.machine_id}: demand {demand} exceeds free {self.free}"
+                f"{self.machine_id}: demand {demand} exceeds free "
+                f"{capacity.cpu_cores - self._used_cpu} cores, "
+                f"{capacity.memory_mb - self._used_mb} MB"
             )
         allocation = Allocation(self, demand, label)
-        self.used = self.used + demand
+        self._used_cpu += demand.cpu_cores
+        self._used_mb += demand.memory_mb
         self.allocations.add(allocation)
         return allocation
 
     def _release(self, allocation: Allocation) -> None:
         self.allocations.discard(allocation)
-        self.used = self.used - allocation.demand
+        demand = allocation.demand
+        self._used_cpu = max(self._used_cpu - demand.cpu_cores, 0.0)
+        self._used_mb = max(self._used_mb - demand.memory_mb, 0.0)
 
     def utilization(self) -> float:
         """Dominant-share utilization in [0, 1]."""
@@ -70,7 +100,7 @@ class Machine:
         """Ratio of CPU demand to capacity; > 1 means contention."""
         if self.capacity.cpu_cores == 0:
             return 0.0
-        return self.used.cpu_cores / self.capacity.cpu_cores
+        return self._used_cpu / self.capacity.cpu_cores
 
     def __repr__(self):  # pragma: no cover - debug aid
         return f"<Machine {self.machine_id} used={self.used} cap={self.capacity}>"

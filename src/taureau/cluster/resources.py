@@ -39,12 +39,6 @@ class ResourceVector:
     def __mul__(self, factor: float) -> "ResourceVector":
         return ResourceVector(self.cpu_cores * factor, self.memory_mb * factor)
 
-    def fits_within(self, capacity: "ResourceVector") -> bool:
-        return (
-            self.cpu_cores <= capacity.cpu_cores + 1e-9
-            and self.memory_mb <= capacity.memory_mb + 1e-9
-        )
-
     def dominant_share(self, capacity: "ResourceVector") -> float:
         """The max fractional demand across dimensions (DRF-style)."""
         shares = []

@@ -214,7 +214,8 @@ def _lookup(kind: str, *args):
 
 
 class _HotMetrics(_LazyHandles):
-    """The fixed-name metrics a :class:`FaasPlatform` records per invocation."""
+    """The fixed-name metrics a :class:`FaasPlatform` records per invocation,
+    and the labeled families its functions' children come from."""
 
     _BIND = {
         "invocations": _lookup("counter", "invocations"),
@@ -229,41 +230,47 @@ class _HotMetrics(_LazyHandles):
         "exec_duration_s": _lookup("distribution", "exec_duration_s"),
         "running": _lookup("series", "running"),
         "sandbox_memory_mb": _lookup("series", "sandbox_memory_mb"),
+        # Families, bound where a function's first child would look them up.
+        "arrivals_by": _lookup("labeled_counter", "arrivals_by", ("function",)),
+        "interarrival_by": _lookup("labeled_histogram", "interarrival_by",
+                                   ("function",)),
+        "starts_by": _lookup("labeled_counter", "starts_by", ("function", "start")),
+        "invocations_by": _lookup("labeled_counter", "invocations_by",
+                                  ("function", "outcome")),
+        "e2e_latency_by": _lookup("labeled_histogram", "e2e_latency_by",
+                                  ("function",)),
     }
 
     def __init__(self, registry: MetricRegistry):
         self.registry = registry
 
 
-def _child(kind: str, family: str, label_names: tuple, **labels):
-    return lambda fn: getattr(fn.registry, kind)(family, label_names).labels(
-        function=fn.name, **labels)
+def _child(family: str, *labels: str):
+    return lambda fn: getattr(fn.hot, family).child(fn.name, *labels)
 
 
 def _line_item(item: str):
-    # Per-function line items feed CostReport.
-    return lambda fn: fn.registry.counter(f"billing.{item}.{fn.name}")
+    # Per-function line items feed CostReport.  By name: their creation
+    # order among the plain counters is part of every snapshot.
+    return lambda fn: fn.hot.registry.counter(f"billing.{item}.{fn.name}")
 
 
 class _FunctionState(_LazyHandles):
     """One function's last arrival time, its per-function metrics and the
     name of its invocations' root span (built on a traced platform only)."""
 
-    __slots__ = ("registry", "name", "last_arrival", "arrivals", "interarrival",
+    __slots__ = ("hot", "name", "last_arrival", "arrivals", "interarrival",
                  "cold", "warm", "ok", "e2e_latency", "billed_requests",
                  "billed_seconds", "billed_gb_s", "billed_cost_usd",
                  "span_name")
 
     _BIND = {
-        "arrivals": _child("labeled_counter", "arrivals_by", ("function",)),
-        "interarrival": _child("labeled_histogram", "interarrival_by", ("function",)),
-        "cold": _child("labeled_counter", "starts_by", ("function", "start"),
-                       start="cold"),
-        "warm": _child("labeled_counter", "starts_by", ("function", "start"),
-                       start="warm"),
-        "ok": _child("labeled_counter", "invocations_by", ("function", "outcome"),
-                     outcome="ok"),
-        "e2e_latency": _child("labeled_histogram", "e2e_latency_by", ("function",)),
+        "arrivals": _child("arrivals_by"),
+        "interarrival": _child("interarrival_by"),
+        "cold": _child("starts_by", "cold"),
+        "warm": _child("starts_by", "warm"),
+        "ok": _child("invocations_by", "ok"),
+        "e2e_latency": _child("e2e_latency_by"),
         "billed_requests": _line_item("requests"),
         "billed_seconds": _line_item("seconds"),
         "billed_gb_s": _line_item("gb_s"),
@@ -271,8 +278,8 @@ class _FunctionState(_LazyHandles):
         "span_name": lambda fn: f"faas.invoke.{fn.name}",
     }
 
-    def __init__(self, registry: MetricRegistry, name: str):
-        self.registry = registry
+    def __init__(self, hot: _HotMetrics, name: str):
+        self.hot = hot
         self.name = name
         self.last_arrival: typing.Optional[float] = None
 
@@ -476,7 +483,7 @@ class FaasPlatform:
         now = self.sim.now
         fn = self._per_function.get(name)
         if fn is None:
-            fn = self._per_function[name] = _FunctionState(self.metrics, name)
+            fn = self._per_function[name] = _FunctionState(self._hot, name)
         if fn.last_arrival is not None:
             fn.interarrival.observe(now - fn.last_arrival)
         fn.last_arrival = now
@@ -936,9 +943,8 @@ class FaasPlatform:
             )
             record.start_time = record.end_time = self.sim.now
             self.metrics.counter("throttles").add()
-            self.metrics.labeled_counter(
-                "invocations_by", ("function", "outcome")
-            ).add(function=record.function_name, outcome=record.status.value)
+            self._hot.invocations_by.child(
+                record.function_name, record.status.value).add()
             if attempt.span is not None:
                 attempt.span.finish(self.sim.now, status="throttled")
             attempt.done.succeed(record)
@@ -1327,9 +1333,7 @@ class FaasPlatform:
         if status is InvocationStatus.OK:
             attempt.fn.ok.add()
         else:
-            self.metrics.labeled_counter(
-                "invocations_by", ("function", "outcome")
-            ).add(function=spec.name, outcome=status.value)
+            self._hot.invocations_by.child(spec.name, status.value).add()
         attempt.fn.e2e_latency.observe(latency)
         if status is InvocationStatus.TIMEOUT:
             self.metrics.counter("timeouts").add()

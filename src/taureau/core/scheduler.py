@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import typing
 
-from taureau.cluster import Machine, ResourceVector
+from taureau.cluster import Machine
 from taureau.core.function import FunctionSpec
 
 __all__ = [
@@ -53,16 +53,17 @@ class Scheduler:
 
     @staticmethod
     def _fits(machine: Machine, spec: FunctionSpec) -> bool:
-        return machine.can_fit(ResourceVector(cpu_cores=0, memory_mb=spec.memory_mb))
+        return machine.fits(0.0, spec.memory_mb)
 
 
 class FirstFitScheduler(Scheduler):
     """Fill machines in index order; the contention-oblivious baseline."""
 
     def place(self, machines, spec, cpu_load, tenants=None):
-        return next(
-            (machine for machine in machines if self._fits(machine, spec)), None
-        )
+        for machine in machines:
+            if self._fits(machine, spec):
+                return machine
+        return None
 
 
 class LeastLoadedScheduler(Scheduler):

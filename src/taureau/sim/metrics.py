@@ -504,6 +504,12 @@ class _LabeledFamily:
         self._child_kwargs = child_kwargs
         #: ``sorted(_children.items())``, dropped when a child is created.
         self._sorted: typing.Optional[list] = None
+        #: ``name{label="%s",...}``: a child's name is this template
+        #: formatted with its label values.
+        self._template = "%s{%s}" % (
+            name.replace("%", "%%"),
+            ",".join(f'{label.replace("%", "%%")}="%s"' for label in self.label_names),
+        )
 
     def _key(self, labels: dict) -> tuple:
         # Label names are distinct, so equal counts plus every name present
@@ -520,11 +526,20 @@ class _LabeledFamily:
 
     def labels(self, **labels):
         """The child metric for one label-value combination."""
-        key = self._key(labels)
-        child = self._children.get(key)
+        return self.child(*self._key(labels))
+
+    def child(self, *values: str):
+        """The child for ``values`` (label values as strings, in label-name
+        order), created on first use."""
+        child = self._children.get(values)
         if child is None:
-            child = self.child_type(self.child_name(key), **self._child_kwargs)
-            self._children[key] = child
+            if len(values) != len(self.label_names):
+                raise ValueError(
+                    f"metric {self.name!r} expects values for "
+                    f"{list(self.label_names)}, got {len(values)}"
+                )
+            child = self.child_type(self._template % values, **self._child_kwargs)
+            self._children[values] = child
             self._sorted = None
         return child
 
@@ -534,10 +549,7 @@ class _LabeledFamily:
         return self._children.get(values)
 
     def child_name(self, key: tuple) -> str:
-        pairs = ",".join(
-            f'{name}="{value}"' for name, value in zip(self.label_names, key)
-        )
-        return f"{self.name}{{{pairs}}}"
+        return self._template % key
 
     def items(self) -> list:
         """``(label_values_tuple, child)`` pairs, sorted for determinism."""

@@ -13,6 +13,7 @@ from taureau.chaos import (
     ResiliencePolicy,
     RetryPolicy,
     no_inflight_messages,
+    sandboxes_conserved,
 )
 from taureau.pulsar import PulsarFunction
 
@@ -203,7 +204,7 @@ class TestExperimentHarness:
                   .crash_broker(at_s=1.0)
                   .crash_bookie(at_s=1.5, recover_after_s=1.0)),
             seed=11,
-            invariants=[no_inflight_messages],
+            invariants=[no_inflight_messages, sandboxes_conserved],
         )
         report = experiment.run()
         assert report.ok, report.summary()

@@ -15,6 +15,7 @@ from taureau.chaos import (
     ResiliencePolicy,
     RetryPolicy,
     all_invocations_terminated,
+    sandboxes_conserved,
 )
 from taureau.core import PlatformConfig
 from taureau.core.function import InvocationStatus
@@ -460,7 +461,7 @@ class TestExperimentInvariants:
 
         experiment = ChaosExperiment(
             scenario, plan=FaultPlan().crash_sandbox(at_s=1000.0), seed=0,
-            invariants=[always_true, never_holds],
+            invariants=[always_true, never_holds, sandboxes_conserved],
         )
         report = experiment.run()
         assert not report.ok

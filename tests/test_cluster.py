@@ -26,13 +26,6 @@ class TestResourceVector:
         with pytest.raises(ValueError):
             a - b  # noqa: B018 - exercising __sub__ validation
 
-    def test_fits_within(self):
-        small = ResourceVector(1, 100)
-        big = ResourceVector(4, 1000)
-        assert small.fits_within(big)
-        assert not big.fits_within(small)
-        assert big.fits_within(big)
-
     def test_dominant_share(self):
         demand = ResourceVector(cpu_cores=2, memory_mb=100)
         capacity = ResourceVector(cpu_cores=4, memory_mb=1000)
@@ -98,3 +91,30 @@ class TestCluster:
 
     def test_empty_cluster_utilization_zero(self):
         assert Cluster().utilization() == 0.0
+
+
+class TestFloatDrift:
+    """Fractional sizes leave float drift in a machine's running totals."""
+
+    def test_releasing_fractional_allocations_in_turn_empties_the_machine(self):
+        # 625.8 + 65.6 + 13.3, less each in turn, leaves -1.8e-14 MB.
+        machine = Machine(ResourceVector(4, 4096), "m0")
+        allocations = [
+            machine.allocate(ResourceVector(0, memory_mb))
+            for memory_mb in (625.8, 65.6, 13.3)
+        ]
+        for allocation in allocations:
+            allocation.release()
+        assert machine.used == ResourceVector()
+        assert machine.free == ResourceVector(4, 4096)
+
+    def test_a_machine_filled_past_capacity_by_drift_still_answers(self):
+        # 0.1 + 0.1 + 0.1 MB fills 0.3 MB to 0.30000000000000004.
+        machine = Machine(ResourceVector(1, 0.3), "m0")
+        for __ in range(3):
+            machine.allocate(ResourceVector(0, 0.1))
+        assert machine.used.memory_mb > machine.capacity.memory_mb
+        assert not machine.can_fit(ResourceVector(0, 0.1))
+        assert machine.fits(0.0, 0.0)
+        with pytest.raises(InsufficientResources):
+            machine.allocate(ResourceVector(0, 0.1))

@@ -29,6 +29,7 @@ from taureau.chaos import (
     exactly_once_effects,
     no_double_billing,
     no_lost_acked_work,
+    sandboxes_conserved,
 )
 
 SEEDS = list(range(50))
@@ -40,6 +41,7 @@ INVARIANTS = [
     exactly_once_effects,
     no_lost_acked_work,
     no_double_billing,
+    sandboxes_conserved,
 ]
 
 
@@ -94,7 +96,8 @@ def experiment(seed: int, durability=True, resilience=True,
         durability=durability,
         policy=(ResiliencePolicy(retry=RetryPolicy(max_attempts=3))
                 if resilience else None),
-        invariants=INVARIANTS if durability else [all_invocations_terminated],
+        invariants=(INVARIANTS if durability
+                    else [all_invocations_terminated, sandboxes_conserved]),
     )
 
 

@@ -23,6 +23,7 @@ from taureau.chaos import (
     exactly_once_effects,
     no_double_billing,
     no_lost_acked_work,
+    sandboxes_conserved,
 )
 from taureau.durable import DurabilityManager
 from taureau.pulsar import PulsarFunction
@@ -59,7 +60,8 @@ class TestRecoveryManager:
             seed=11,
             durability=True,
             invariants=[all_invocations_terminated, exactly_once_effects,
-                        no_lost_acked_work, no_double_billing],
+                        no_lost_acked_work, no_double_billing,
+                        sandboxes_conserved],
         )
         report = experiment.run()
         assert report.ok, report.summary()
@@ -149,7 +151,8 @@ class TestRecoveryManager:
             durability=True,
             policy=ResiliencePolicy(retry=RetryPolicy(max_attempts=3)),
             invariants=[all_invocations_terminated, exactly_once_effects,
-                        no_lost_acked_work, no_double_billing],
+                        no_lost_acked_work, no_double_billing,
+                        sandboxes_conserved],
         )
         report = experiment.run()
         assert report.ok, report.summary()

@@ -11,13 +11,15 @@ machine interrupts its attempt like any crash: the execution it was
 running is never finished or billed.
 """
 
+import collections
 import pathlib
 import sys
+import types
 
 import pytest
 
-from taureau.chaos import FaultInjected
-from taureau.cluster import Cluster
+from taureau.chaos import FaultInjected, sandboxes_conserved
+from taureau.cluster import Cluster, ResourceVector
 from taureau.core import (
     FaasPlatform,
     FunctionSpec,
@@ -56,13 +58,27 @@ def live_provisioned(platform):
 
 def assert_conserved(platform):
     """Each created sandbox is idle, executing or retired once, by cause."""
-    alive = (sum(len(bucket) for bucket in platform._idle.values())
-             + len(platform._executing))
-    retired = platform.sandboxes_retired
-    assert platform.sandboxes_created == alive + sum(retired.values())
-    assert platform.metrics.counter("sandbox_evictions").value == (
-        retired["evicted"] + retired["expired"])
-    return retired
+    ok, detail = sandboxes_conserved(types.SimpleNamespace(faas=platform))
+    assert ok, detail
+    return platform.sandboxes_retired
+
+
+def test_the_conservation_invariant_reports_an_unaccounted_sandbox():
+    sim, platform = make()
+    platform.invoke("f")
+    sim.run(until=10.0)  # long before the keep-alive window ends
+    app = types.SimpleNamespace(faas=platform)
+    assert sandboxes_conserved(app) == (
+        True, "1 created, 1 idle, 0 executing, 0 retired; 0 evictions "
+              "counted for 0 evicted or expired")
+    # Checking reads the eviction counter; it does not create it.
+    assert platform.metrics.find("sandbox_evictions") is None
+    platform.sandboxes_created += 1
+    assert sandboxes_conserved(app)[0] is False
+    platform.sandboxes_created -= 1
+    platform.sandboxes_retired["evicted"] += 1  # counted, but not evicted
+    platform.sandboxes_created += 1
+    assert sandboxes_conserved(app)[0] is False
 
 
 def test_a_cancelled_trigger_does_not_hold_the_run_open():
@@ -222,6 +238,24 @@ def test_a_handler_that_crashes_its_own_sandbox_is_retried():
     assert assert_conserved(platform) == {"crashed": 1, "expired": 1}
 
 
+def test_fractional_sandboxes_expire_without_a_negative_total():
+    # Releasing 625.8, 65.6 and 13.3 MB in turn leaves the machine's
+    # memory total at -1.8e-14 MB before the clamp.
+    sim = Simulation(seed=0)
+    platform = FaasPlatform(
+        sim,
+        cluster=Cluster.homogeneous(1, cpu_cores=4, memory_mb=4096),
+        config=PlatformConfig(keep_alive_s=10.0),
+    )
+    for index, memory_mb in enumerate((625.8, 65.6, 13.3)):
+        name = f"f{index}"
+        platform.register(FunctionSpec(name=name, handler=quick, memory_mb=memory_mb))
+        sim.schedule_at(float(index), platform.invoke, name)
+    sim.run()
+    assert assert_conserved(platform) == {"expired": 3}
+    assert platform.cluster.machines[0].used == ResourceVector()
+
+
 @pytest.mark.parametrize("name, retired", [
     ("faas_warm", {"expired": 420}),
     ("cold_evict", {"evicted": 2865, "expired": 128}),
@@ -250,3 +284,47 @@ def test_perfbench_workloads_conserve_sandboxes(name, retired):
     for queued, cancelled in queue:
         assert queued <= 2 * (queued - cancelled) + engine._CANCELLED_SLACK
     assert not sim._cancelled
+
+
+#: The registry methods that look a metric up by name; perfbench's
+#: ``--trace 1`` counts the same ones as ``metrics.lookups``.
+REGISTRY_LOOKUPS = ("counter", "gauge", "distribution", "histogram", "series",
+                    "labeled_counter", "labeled_gauge", "labeled_histogram",
+                    "find")
+
+
+def test_cold_evict_builds_no_vector_per_fit_nor_looks_up_per_bind(
+        monkeypatch):
+    """The cold path's work, pinned as counts: they repeat exactly."""
+    replay = workloads.make_workload("cold_evict", 1, 0.25)
+    replay.setup()
+    faas = replay.app.faas
+    counts = collections.Counter()
+    post_init = ResourceVector.__post_init__
+
+    def counted_vector(vector):
+        counts["vectors"] += 1
+        post_init(vector)
+
+    monkeypatch.setattr(ResourceVector, "__post_init__", counted_vector)
+    registry = faas.metrics
+    for name in REGISTRY_LOOKUPS:
+        lookup = getattr(registry, name)
+
+        def counted_lookup(*args, lookup=lookup, **kwargs):
+            counts["lookups"] += 1
+            return lookup(*args, **kwargs)
+
+        setattr(registry, name, counted_lookup)
+    replay.run()
+    vectors, lookups = counts["vectors"], counts["lookups"]
+    snapshot = registry.snapshot()
+    cold_starts = snapshot["faas.cold_starts"]
+    billed = sum(1 for key in snapshot if key.startswith("faas.billing.requests."))
+    assert cold_starts > 2000
+    # One demand vector per sandbox placed; fit questions build none.
+    assert vectors <= cold_starts + 10
+    # Four by-name billing counters per billed function; every labeled
+    # child binds through a family handle.
+    assert billed > 1000
+    assert lookups <= 4 * billed + 50

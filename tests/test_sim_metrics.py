@@ -1,11 +1,20 @@
 """Unit tests for metric recorders."""
 
+import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taureau.sim import Counter, Distribution, Gauge, MetricRegistry, TimeSeries
-from taureau.sim.metrics import Histogram, LabeledCounter
+from taureau.sim.metrics import (
+    Histogram,
+    LabeledCounter,
+    LabeledGauge,
+    LabeledHistogram,
+)
 
 
 class TestCounter:
@@ -240,6 +249,71 @@ class TestLabeledFamilyOrder:
         items.reverse()
         items.append(("zzz", Counter("zzz")))
         assert [key for key, __ in family.items()] == [("a",), ("b",), ("c",)]
+
+
+def joined_name(family, key):
+    """A child's name as a join over its label pairs renders it."""
+    pairs = ",".join(
+        f'{name}="{value}"' for name, value in zip(family.label_names, key)
+    )
+    return f"{family.name}{{{pairs}}}"
+
+
+AWKWARD = ["f", "", "50%", "%s", "%%d", '"q"', "{", "}", "a,b", "k=v",
+           "naïve", "函数"]
+
+
+class TestLabeledChildren:
+    """One get-or-create path; names from a per-family template."""
+
+    @pytest.mark.parametrize("family_name", ["calls", "rate%", "%s{x}", "%(a)s"])
+    @pytest.mark.parametrize(
+        "factory", [LabeledCounter, LabeledGauge, LabeledHistogram])
+    def test_names_equal_the_join_for_awkward_text(self, factory, family_name):
+        family = factory(family_name, ("function", "outcome"))
+        for key in itertools.product(AWKWARD, repeat=2):
+            child = family.labels(function=key[0], outcome=key[1])
+            assert child.name == joined_name(family, key)
+            assert family.child_name(key) == child.name
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family_name=st.text(min_size=1),
+        label_names=st.lists(st.text(min_size=1), min_size=1, max_size=3,
+                             unique=True),
+        values=st.lists(st.text(), min_size=3, max_size=3),
+    )
+    def test_names_equal_the_join(self, family_name, label_names, values):
+        family = LabeledCounter(family_name, label_names)
+        key = tuple(values[:len(label_names)])
+        child = family.child(*key)
+        assert child.name == joined_name(family, key)
+        assert family.child_name(key) == child.name
+
+    def test_labels_and_values_reach_the_same_child(self):
+        family = LabeledCounter("calls", ("function", "outcome"))
+        first = family.labels(outcome="ok", function="f")
+        assert family.child("f", "ok") is first
+        second = family.child("g", "error")
+        assert family.labels(function="g", outcome="error") is second
+        assert family.get("g", "error") is second
+        assert [key for key, __ in family.items()] == [("f", "ok"), ("g", "error")]
+
+    @pytest.mark.parametrize("labels, got", [
+        ({"function": "f"}, "['function']"),
+        ({"function": "f", "outcome": "ok", "zone": "a"},
+         "['function', 'outcome', 'zone']"),
+        ({"function": "f", "result": "ok"}, "['function', 'result']"),
+    ])
+    def test_a_wrong_label_set_raises_as_before(self, labels, got):
+        family = LabeledCounter("calls", ("function", "outcome"))
+        message = (f"metric 'calls' expects labels ['function', 'outcome'], "
+                   f"got {got}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            family.labels(**labels)
+        with pytest.raises(ValueError, match="expects values for"):
+            family.child("f")
+        assert len(family) == 0
 
 
 def fresh_percentile(samples, q):
