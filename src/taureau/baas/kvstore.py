@@ -53,10 +53,10 @@ class KvStore:
         self.resilience = None
         # Metric handles, each bound when a by-name lookup per call
         # would first have created its metric (so snapshots keep their
-        # keys and order): ``ops_by`` children per op, then
-        # ``io_size_mb``, at the first charge; ``puts`` and ``gets`` at
-        # the first put and get.
-        self._ops_by: typing.Dict[str, object] = {}
+        # keys and order): per op its ``ops_by`` child and span name,
+        # then ``io_size_mb``, at the first charge; ``puts`` and
+        # ``gets`` at the first put and get.
+        self._ops_by: typing.Dict[str, tuple] = {}
         self._io_size_mb = None
         self._puts = None
         self._gets = None
@@ -185,15 +185,18 @@ class KvStore:
         self._gets.add()
 
     def _charge(self, ctx, size_mb: float, op: str = "io", key: str = "") -> None:
-        ops = self._ops_by.get(op)
-        if ops is None:
-            ops = self._ops_by[op] = self.metrics.labeled_counter(
-                "ops_by", ("op",)).labels(op=op)
+        bound = self._ops_by.get(op)
+        if bound is None:
+            bound = self._ops_by[op] = (
+                self.metrics.labeled_counter("ops_by", ("op",)).labels(op=op),
+                f"baas.kv.{op}",
+            )
             if self._io_size_mb is None:
                 self._io_size_mb = self.metrics.histogram("io_size_mb")
+        ops, span_name = bound
         ops.add()
         self._io_size_mb.observe(size_mb)
         if ctx is None:
             return
         latency = self.calibration.kv_transfer_latency(size_mb)
-        ctx.charge_io(latency, f"baas.kv.{op}", store=self.name, key=key)
+        ctx.charge_io(latency, span_name, store=self.name, key=key)

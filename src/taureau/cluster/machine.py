@@ -42,7 +42,8 @@ class Machine:
     can carry a total a hair past zero or past capacity (625.8, 65.6 and
     13.3 MB released in turn leave -1.8e-14 MB; three 0.1 MB claims fill
     0.3 MB to 0.30000000000000004), so a release clamps each total at
-    zero and the fit test reads the raw differences; neither raises.
+    zero, :attr:`free` clamps each dimension at zero, and the fit test
+    reads the raw differences; none of them raises.
     """
 
     def __init__(self, capacity: ResourceVector, machine_id: str):
@@ -58,7 +59,9 @@ class Machine:
 
     @property
     def free(self) -> ResourceVector:
-        return self.capacity - self.used
+        capacity = self.capacity
+        return ResourceVector(max(capacity.cpu_cores - self._used_cpu, 0.0),
+                              max(capacity.memory_mb - self._used_mb, 0.0))
 
     def fits(self, cpu_cores: float, memory_mb: float) -> bool:
         """Whether ``cpu_cores`` and ``memory_mb`` fit in what is free,

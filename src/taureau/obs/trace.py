@@ -35,25 +35,37 @@ NULL_CONTEXT: typing.Optional[SpanContext] = None
 
 
 class Span:
-    """One named interval of simulated time inside a trace."""
+    """One named interval of simulated time inside a trace.
+
+    A span keeps no id string and no attribute dict until one is read.
+    ``span_id`` renders ``s<seq>`` on each read unless the span was
+    built with an id of its own; ``parent_id`` reads the id of the
+    parent ``Span`` held by reference, or returns the id string it was
+    given (from a :class:`SpanContext` or a hand-built span).  A minted
+    span's attributes are a value tuple beside a key tuple that its
+    :class:`Tracer` shares among every span with that key set; the first
+    read of :attr:`attributes` turns the pair into the one dict that
+    later reads and :meth:`set_attribute` share.
+    """
 
     __slots__ = (
         "trace_id",
-        "span_id",
-        "parent_id",
         "name",
         "start",
         "end",
         "status",
-        "attributes",
         "_seq",
+        "_id",
+        "_parent",
+        "_keys",
+        "_values",
     )
 
     def __init__(
         self,
         trace_id: str,
-        span_id: str,
-        parent_id: typing.Optional[str],
+        span_id: typing.Optional[str],
+        parent_id: typing.Union[str, "Span", None],
         name: str,
         start: float,
         seq: int,
@@ -62,14 +74,39 @@ class Span:
         status: str = "ok",
     ):
         self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+        self._id = span_id  # None: render s<seq> on read
+        self._parent = parent_id
         self.name = name
         self.start = start
         self.end = end
         self.status = status
-        self.attributes: dict = {} if attributes is None else attributes
+        # ``_keys`` is None once ``_values`` holds the attribute dict.
+        if attributes is None:
+            self._keys = self._values = ()
+        else:
+            self._keys = None
+            self._values = attributes
         self._seq = seq  # creation order; deterministic tie-break
+
+    @property
+    def span_id(self) -> str:
+        span_id = self._id
+        return f"s{self._seq}" if span_id is None else span_id
+
+    @property
+    def parent_id(self) -> typing.Optional[str]:
+        parent = self._parent
+        return parent.span_id if isinstance(parent, Span) else parent
+
+    @property
+    def attributes(self) -> dict:
+        """The attributes in call order: one dict, built on first read."""
+        keys = self._keys
+        if keys is None:
+            return self._values
+        attributes = self._values = dict(zip(keys, self._values))
+        self._keys = None
+        return attributes
 
     @property
     def finished(self) -> bool:
@@ -209,6 +246,8 @@ class Tracer:
         self.store = store if store is not None else TraceStore()
         self._trace_ids = itertools.count()
         self._span_ids = itertools.count()
+        #: One key tuple per distinct attribute key set, shared by spans.
+        self._key_sets: typing.Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -220,11 +259,8 @@ class Tracer:
         **attributes,
     ) -> Span:
         """Open a span; with no ``parent`` a new trace is started."""
-        trace_id, parent_id, seq = self._mint(parent)
-        span = Span(trace_id, f"s{seq}", parent_id, name,
-                    self.sim.now if start is None else start, seq, attributes)
-        self.store.add(span)
-        return span
+        return self._file(name, parent, self.sim.now if start is None else start,
+                          None, "ok", attributes)
 
     def record(
         self,
@@ -242,17 +278,26 @@ class Tracer:
         """
         if end < start:
             raise ValueError(f"span {name!r}: end {end} precedes start {start}")
-        trace_id, parent_id, seq = self._mint(parent)
-        span = Span(trace_id, f"s{seq}", parent_id, name, start, seq,
-                    attributes, end, status)
+        return self._file(name, parent, start, end, status, attributes)
+
+    def _file(self, name, parent, start, end, status, attributes) -> Span:
+        """Mint a span under ``parent`` (a new trace when ``None``) and
+        file it, packing ``attributes`` into a shared key tuple and a
+        value tuple."""
+        if parent is None:
+            trace_id = f"trace-{next(self._trace_ids)}"
+        else:
+            trace_id = parent.trace_id
+            if not isinstance(parent, Span):
+                parent = parent.span_id
+        span = Span(trace_id, None, parent, name, start, next(self._span_ids),
+                    None, end, status)
+        if attributes:
+            keys = tuple(attributes)
+            span._keys = self._key_sets.setdefault(keys, keys)
+            span._values = tuple(attributes.values())
         self.store.add(span)
         return span
-
-    def _mint(self, parent) -> tuple:
-        """``(trace_id, parent_id, seq)`` of a new span under ``parent``."""
-        if parent is None:
-            return f"trace-{next(self._trace_ids)}", None, next(self._span_ids)
-        return parent.trace_id, parent.span_id, next(self._span_ids)
 
     # -- store passthroughs ------------------------------------------------
 

@@ -8,6 +8,7 @@ from taureau.cluster import (
     Machine,
     ResourceVector,
 )
+from taureau.core import ComplementaryScheduler, FunctionSpec
 
 
 class TestResourceVector:
@@ -114,7 +115,17 @@ class TestFloatDrift:
         for __ in range(3):
             machine.allocate(ResourceVector(0, 0.1))
         assert machine.used.memory_mb > machine.capacity.memory_mb
+        assert machine.free == ResourceVector(1, 0.0)
         assert not machine.can_fit(ResourceVector(0, 0.1))
         assert machine.fits(0.0, 0.0)
         with pytest.raises(InsufficientResources):
             machine.allocate(ResourceVector(0, 0.1))
+
+    def test_complementary_placement_beside_a_drifted_cpu_total(self):
+        # 0.1 + 0.1 + 0.1 cores fill 0.3 cores to 0.30000000000000004;
+        # the tie-break reads the machine's free memory.
+        machine = Machine(ResourceVector(0.3, 4096), "m0")
+        for __ in range(3):
+            machine.allocate(ResourceVector(0.1, 0))
+        spec = FunctionSpec(name="f", handler=None, memory_mb=128)
+        assert ComplementaryScheduler().place([machine], spec, {}) is machine

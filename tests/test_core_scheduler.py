@@ -73,10 +73,10 @@ class ModelMachine:
     """A machine's used resources in vector arithmetic, the reference.
 
     It departs from plain vector arithmetic only where that raises a
-    negative-vector ``ValueError``: a release clamps each dimension at
-    zero, and the fit test compares ``demand <= (capacity - used) + 1e-9``
-    per dimension rather than building ``capacity - used`` first (float
-    drift can leave ``used`` a hair past capacity).
+    negative-vector ``ValueError``: a release and ``free`` clamp each
+    dimension at zero, and the fit test compares ``demand <= (capacity -
+    used) + 1e-9`` per dimension rather than building ``capacity - used``
+    first (float drift can leave ``used`` a hair past capacity).
     """
 
     def __init__(self, capacity, machine_id):
@@ -87,7 +87,9 @@ class ModelMachine:
 
     @property
     def free(self):
-        return self.capacity - self.used
+        capacity, used = self.capacity, self.used
+        return ResourceVector(max(capacity.cpu_cores - used.cpu_cores, 0.0),
+                              max(capacity.memory_mb - used.memory_mb, 0.0))
 
     def can_fit(self, demand):
         capacity, used = self.capacity, self.used

@@ -104,3 +104,49 @@ class TestFailedRecordFilesNothing:
         assert tracer.store.trace_ids() == []
         span = tracer.record("first", None, 1.0, 2.0)
         assert (span.trace_id, span.span_id) == ("trace-0", "s0")
+
+
+class TestCompactAttributes:
+    """A minted span keeps its attributes as a value tuple beside a key
+    tuple its tracer shares, and turns them into one dict when read."""
+
+    def test_attributes_keep_call_order_and_one_dict(self):
+        tracer = Tracer(Simulation(seed=1))
+        span = tracer.record("io", None, 0.0, 1.0, store="kv", key="k", size=3)
+        attributes = span.attributes
+        assert list(attributes.items()) == [("store", "kv"), ("key", "k"),
+                                            ("size", 3)]
+        assert span.attributes is attributes
+        attributes["extra"] = 1
+        span.set_attribute("key", "k2")
+        assert span.attributes is attributes
+        assert list(span.attributes.items()) == [
+            ("store", "kv"), ("key", "k2"), ("size", 3), ("extra", 1)]
+
+    def test_set_attribute_before_any_read_persists(self):
+        tracer = Tracer(Simulation(seed=1))
+        opened = tracer.start_span("open", tenant="t0")
+        bare = tracer.start_span("bare")
+        opened.set_attribute("attempt", 2)
+        bare.set_attribute("attempt", 0)
+        assert opened.attributes == {"tenant": "t0", "attempt": 2}
+        assert bare.attributes == {"attempt": 0}
+
+    def test_one_key_set_shares_one_key_tuple(self):
+        tracer = Tracer(Simulation(seed=1))
+        root = tracer.start_span("root")
+        first = tracer.record("kv", root, 0.0, 1.0, store="kv", key="a")
+        second = tracer.record("kv", root, 1.0, 2.0, store="kv", key="b")
+        opened = tracer.start_span("kv", parent=root, store="kv", key="c")
+        swapped = tracer.record("kv", root, 2.0, 3.0, key="d", store="kv")
+        assert first._keys is second._keys is opened._keys
+        assert swapped._keys == ("key", "store")
+        # No attributes: nothing packed and nothing interned.
+        assert root._keys == root._values == ()
+        assert () not in tracer._key_sets
+        # The table belongs to the tracer: another tracer packs its own.
+        other = Tracer(Simulation(seed=1)).record("kv", None, 0.0, 1.0,
+                                                  store="kv", key="a")
+        assert other._keys == first._keys and other._keys is not first._keys
+        assert [second.attributes, swapped.attributes] == [
+            {"store": "kv", "key": "b"}, {"key": "d", "store": "kv"}]

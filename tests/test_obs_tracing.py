@@ -15,6 +15,7 @@ from taureau.core.function import FunctionSpec
 from taureau.core.platform import FaasPlatform, PlatformConfig, ThrottledError
 from taureau.obs import (
     Span,
+    SpanContext,
     Trace,
     Tracer,
     TraceStore,
@@ -64,6 +65,33 @@ class TestSpanModel:
         joined = tracer.start_span("b", parent=root.context())
         assert joined.trace_id == root.trace_id
         assert joined.parent_id == root.span_id
+
+    def test_minted_ids_render_from_the_sequence(self):
+        tracer = Tracer(Simulation(seed=1))
+        root = tracer.start_span("a")
+        child = tracer.record("b", root, 0.0, 1.0)
+        grandchild = tracer.start_span("c", parent=child)
+        for seq, span in enumerate([root, child, grandchild]):
+            assert span.span_id == f"s{seq}"
+        assert root.parent_id is None
+        assert child.parent_id == root.span_id == "s0"
+        assert grandchild.parent_id == child.span_id == "s1"
+        assert grandchild.context() == SpanContext("trace-0", "s2")
+
+    def test_context_parents_and_hand_built_spans_keep_their_ids(self):
+        tracer = Tracer(Simulation(seed=1))
+        foreign = SpanContext("trace-9", "remote-7")
+        joined = tracer.start_span("joined", parent=foreign)
+        recorded = tracer.record("recorded", foreign, 0.0, 1.0)
+        for span in (joined, recorded):
+            assert (span.trace_id, span.parent_id) == ("trace-9", "remote-7")
+        assert (joined.span_id, recorded.span_id) == ("s0", "s1")
+        built = Span("t", "r", None, "root", 0.0, 5)
+        child = Span("t", "a", "r", "A", 1.0, 6, {"k": 1})
+        assert (built.span_id, built.parent_id) == ("r", None)
+        assert (child.span_id, child.parent_id) == ("a", "r")
+        assert child.context() == SpanContext("t", "a")
+        assert built.attributes == {} and child.attributes == {"k": 1}
 
     def test_trace_tree_queries(self):
         sim = Simulation(seed=1)
